@@ -30,7 +30,7 @@
 // status is 0 as long as at least one request completed.
 //
 // Workload points replay deterministically: the figure suite is
-// deduplicated by canonical fingerprint and sorted by memo key, then
+// deduplicated and sorted by point key, then
 // requests walk that sequence round-robin. Repeats are intentional —
 // they exercise the daemon's memo exactly the way overlapping client
 // sweeps do.

@@ -11,7 +11,7 @@
 //	soproc -all -parallel 8      ... on an 8-worker engine
 //	soproc -all -timeout 2m      ... aborting after two minutes
 //	soproc -all -peers a:8080,b:8080   ... sharded across a soprocd
-//	                             cluster by configuration fingerprint
+//	                             cluster by point key
 //	                             (internal/cluster); output is
 //	                             byte-identical to a local run
 //	soproc -all -store           persist every simulated result in the

@@ -11,7 +11,7 @@
 //	soprocd -memo-cap 16384          memo capacity in entries (0 = unbounded)
 //	soprocd -drain 1m                graceful-shutdown drain window
 //	soprocd -peers host:a,host:b     coordinate: shard sweep points across
-//	                                 those soprocd replicas by fingerprint
+//	                                 those soprocd replicas by point key
 //	soprocd -calibration cal.json    load a cmd/calibrate error-bounding
 //	                                 run: anchors serve matching points
 //	                                 exactly, certified regions enable
@@ -58,7 +58,7 @@
 //
 // With -peers, the daemon becomes a cluster coordinator
 // (internal/cluster): each simulator point is consistent-hashed by its
-// canonical fingerprint to the replica that owns it, points per replica
+// point key to the replica that owns it, points per replica
 // are batched into forwarded /v1/sweep calls, a failed replica's shard
 // re-hashes to the next owners, and /statsz grows a "cluster" section.
 // Output stays byte-identical to single-node serving; see API.md and

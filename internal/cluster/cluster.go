@@ -6,18 +6,21 @@
 // A Coordinator is an engine Route (exp.Route): installed on an engine
 // with SetRoute, it intercepts each memo miss whose point carries a
 // wire-form payload (sim.WireConfig — the versioned, complete encoding
-// every engine point attaches via sim's WirePayload), wraps it in a
-// /v1/sweep complete-form point (serve.WirePoint), and ships it to the
-// replica that owns the point's canonical fingerprint. Because the wire
+// every engine point builds via sim's WirePayload when it is routed),
+// wraps it in a /v1/sweep complete-form point (serve.WirePoint), and
+// ships it to the replica that owns the point's key (sim.Config.Key). Because the wire
 // form carries the full interconnect and workload specification, every
 // point a figure can construct is routable — there is no symbolic
-// subset that silently computes on the coordinator. A point can still
-// be unroutable (an invalid configuration, or a payload type with no
-// wire form): that is counted, logged on first occurrence, and
-// declined to local compute, so representability regressions are
-// visible in /statsz rather than silent.
+// subset that silently computes on the coordinator. An invalid
+// configuration never reaches the coordinator: its key is empty, so
+// the engine runs it locally, unmemoized. A payload with no wire form
+// (a foreign type, or the sim.Unroutable marker of a configuration
+// whose wire form fails its round-trip check) is counted, logged on
+// first occurrence, and declined to local compute, so
+// representability regressions are visible in /statsz rather than
+// silent.
 // Ownership is rendezvous (highest-random-weight) hashing over the
-// fingerprint: every coordinator agrees on the owner without shared
+// key: every coordinator agrees on the owner without shared
 // state, each replica's memo accumulates a disjoint shard of the design
 // space — so the global hit rate survives coordinator restarts — and
 // when a replica dies only its shard re-hashes, each key to its

@@ -1,8 +1,8 @@
 // Package engine provides the worker pool and memo that back the
 // experiment layer (internal/exp): a fixed-size pool that bounds
 // concurrent computations, context cancellation, and a memo keyed by
-// canonical configuration fingerprints so identical points are computed
-// exactly once while resident.
+// canonical point keys (sim.Config.Key) so identical points are
+// computed exactly once while resident.
 //
 // The memo is optionally capacity-bounded (NewBounded): a long-running
 // process — cmd/soprocd serving ad-hoc sweeps — caps its resident
@@ -17,14 +17,13 @@
 // itself drives can share the pool without an import cycle —
 // sim.RunSampled fans its seed samples out across the same workers that
 // run figure sweeps. internal/exp re-exports the user-facing surface
-// (Engine, WithEngine, Fingerprint, ...) and layers the typed Point
+// (Engine, WithEngine, ...) and layers the typed Point
 // API on top of Do.
 package engine
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -297,11 +296,6 @@ func FromContext(ctx context.Context) *Engine {
 	return Default()
 }
 
-// Fingerprint canonically serializes a configuration value. fmt prints
-// map fields in sorted key order, so two equal values always produce the
-// same string regardless of construction order.
-func Fingerprint(v any) string { return fmt.Sprintf("%#v", v) }
-
 // Do runs compute under a worker slot, memoized by key. Two calls with
 // equal non-empty keys must describe identical computations; the engine
 // computes each distinct key at most once while it stays resident and
@@ -319,16 +313,18 @@ func (e *Engine) Do(ctx context.Context, key string, compute func() (any, error)
 	return e.DoRouted(ctx, key, nil, compute)
 }
 
-// DoRouted is Do with a routable payload attached: on a memo miss, an
-// engine with a router (SetRoute) offers (key, payload) to the router
-// before computing locally, so a cluster coordinator can ship the work
-// to the replica owning the key. payload must describe the same
-// computation as compute — routing only moves where a point runs, never
-// what it returns. A nil payload, an engine without a router, or a
-// context marked by DisableRouting always computes locally; so does any
-// point the router declines. Memoization, single-flight dedup, and
-// cancellation withdrawal are identical to Do in every case.
-func (e *Engine) DoRouted(ctx context.Context, key string, payload any, compute func() (any, error)) (any, error) {
+// DoRouted is Do with a routable payload attached: on a memo and store
+// miss, an engine with a router (SetRoute) offers (key, payload()) to
+// the router before computing locally, so a cluster coordinator can
+// ship the work to the replica owning the key. payload is called only
+// then — a memo hit, a store hit, an engine without a router, or a
+// context marked by DisableRouting never builds it — and must describe
+// the same computation as compute: routing only moves where a point
+// runs, never what it returns. A nil payload func, a nil payload, or a
+// point the router declines computes locally. Memoization,
+// single-flight dedup, and cancellation withdrawal are identical to Do
+// in every case.
+func (e *Engine) DoRouted(ctx context.Context, key string, payload func() any, compute func() (any, error)) (any, error) {
 	if key == "" {
 		if err := e.acquire(ctx); err != nil {
 			return nil, err
@@ -398,8 +394,8 @@ func (e *Engine) DoRouted(ctx context.Context, key string, payload any, compute 
 	// replica, not a local worker slot, so it skips acquire entirely.
 	// The entry is already owned, so concurrent requests for the key
 	// wait on this one routed flight.
-	if payload != nil && !routingDisabled(ctx) {
-		if rp := e.route.Load(); rp != nil {
+	if rp := e.route.Load(); rp != nil && payload != nil && !routingDisabled(ctx) {
+		if pl := payload(); pl != nil {
 			// Only observed requests pay for the RouteInfo allocation;
 			// the router finds the slot with RouteInfoFrom and fills in
 			// where the point actually ran.
@@ -408,7 +404,7 @@ func (e *Engine) DoRouted(ctx context.Context, key string, payload any, compute 
 			if hook != nil {
 				rctx, ri = withRouteInfo(ctx)
 			}
-			if val, handled, rerr := (*rp)(rctx, key, payload); handled {
+			if val, handled, rerr := (*rp)(rctx, key, pl); handled {
 				if rerr == nil {
 					e.remote.Add(1)
 					e.storeSave(key, val)

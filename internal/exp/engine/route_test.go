@@ -9,6 +9,52 @@ import (
 	"testing"
 )
 
+// payload wraps a fixed route payload in the lazy form DoRouted takes.
+func payload(v any) func() any { return func() any { return v } }
+
+// TestRoutePayloadBuiltOnlyWhenRouted: the payload func runs only for a
+// memo and store miss on an engine with a router and routing enabled —
+// a warm hit, a store hit, a router-less engine, and a DisableRouting
+// context never pay to build it.
+func TestRoutePayloadBuiltOnlyWhenRouted(t *testing.T) {
+	var built atomic.Int64
+	lazy := func() any { built.Add(1); return "p" }
+	compute := func() (any, error) { return 1, nil }
+	ctx := context.Background()
+
+	plain := New(1)
+	plain.DoRouted(ctx, "k", lazy, compute)
+	if built.Load() != 0 {
+		t.Fatal("payload built on an engine without a router")
+	}
+
+	e := New(1)
+	e.SetRoute(func(ctx context.Context, key string, payload any) (any, bool, error) {
+		return 2, true, nil
+	})
+	e.DoRouted(DisableRouting(ctx), "off", lazy, compute)
+	if built.Load() != 0 {
+		t.Fatal("payload built on a DisableRouting context")
+	}
+	e.SetStore(mapStore{"stored": 3})
+	if v, _ := e.DoRouted(ctx, "stored", lazy, compute); v != 3 || built.Load() != 0 {
+		t.Fatalf("store hit = %v, payload built %d times", v, built.Load())
+	}
+	if v, _ := e.DoRouted(ctx, "k", lazy, compute); v != 2 || built.Load() != 1 {
+		t.Fatalf("routed miss = %v, payload built %d times, want 1", v, built.Load())
+	}
+	e.DoRouted(ctx, "k", lazy, compute)
+	if built.Load() != 1 {
+		t.Fatal("payload rebuilt on a memo hit")
+	}
+}
+
+// mapStore is a read-only engine Store over a fixed map.
+type mapStore map[string]any
+
+func (m mapStore) Load(key string) (any, bool) { v, ok := m[key]; return v, ok }
+func (m mapStore) Save(string, any)            {}
+
 // TestRouteResolvesAndMemoizes: a handled route result is memoized under
 // the key like a local computation — the second request is a hit and the
 // router is not consulted again.
@@ -22,7 +68,7 @@ func TestRouteResolvesAndMemoizes(t *testing.T) {
 	compute := func() (any, error) { t.Fatal("computed locally despite router"); return nil, nil }
 
 	for i := 0; i < 2; i++ {
-		v, err := e.DoRouted(context.Background(), "k", 7, compute)
+		v, err := e.DoRouted(context.Background(), "k", payload(7), compute)
 		if err != nil || v.(int) != 70 {
 			t.Fatalf("DoRouted = %v, %v", v, err)
 		}
@@ -43,7 +89,7 @@ func TestRouteDeclinedComputesLocally(t *testing.T) {
 	e.SetRoute(func(ctx context.Context, key string, payload any) (any, bool, error) {
 		return nil, false, nil
 	})
-	v, err := e.DoRouted(context.Background(), "k", "payload", func() (any, error) { return 42, nil })
+	v, err := e.DoRouted(context.Background(), "k", payload("payload"), func() (any, error) { return 42, nil })
 	if err != nil || v.(int) != 42 {
 		t.Fatalf("DoRouted = %v, %v", v, err)
 	}
@@ -78,7 +124,7 @@ func TestRouteDisabledByContext(t *testing.T) {
 		return nil, false, nil
 	})
 	ctx := DisableRouting(context.Background())
-	v, err := e.DoRouted(ctx, "k", "payload", func() (any, error) { return 3, nil })
+	v, err := e.DoRouted(ctx, "k", payload("payload"), func() (any, error) { return 3, nil })
 	if err != nil || v.(int) != 3 {
 		t.Fatalf("DoRouted = %v, %v", v, err)
 	}
@@ -96,10 +142,10 @@ func TestRouteCancellationWithdraws(t *testing.T) {
 		}
 		return 99, true, nil
 	})
-	if _, err := e.DoRouted(context.Background(), "k", 1, nil); !errors.Is(err, context.Canceled) {
+	if _, err := e.DoRouted(context.Background(), "k", payload(1), nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("first DoRouted err = %v, want context.Canceled", err)
 	}
-	v, err := e.DoRouted(context.Background(), "k", 1, nil)
+	v, err := e.DoRouted(context.Background(), "k", payload(1), nil)
 	if err != nil || v.(int) != 99 {
 		t.Fatalf("retry DoRouted = %v, %v", v, err)
 	}
@@ -126,7 +172,7 @@ func TestRouteSingleFlight(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					v, err := e.DoRouted(context.Background(), "k", "p", nil)
+					v, err := e.DoRouted(context.Background(), "k", payload("p"), nil)
 					if err != nil || v.(string) != "v" {
 						t.Errorf("DoRouted = %v, %v", v, err)
 					}

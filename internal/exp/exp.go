@@ -1,7 +1,7 @@
 // Package exp is the experiment engine every sweep in this repository
 // runs on: a fixed-size worker pool that fans independent sweep points
 // out across GOMAXPROCS goroutines, returns results in deterministic
-// input order, and memoizes each point by a canonical fingerprint of its
+// input order, and memoizes each point by a canonical key of its
 // configuration so identical points — the same baseline chip appears in
 // several chapters' figures — are simulated exactly once per process.
 //
@@ -77,11 +77,6 @@ func DisableRouting(ctx context.Context) context.Context {
 	return engine.DisableRouting(ctx)
 }
 
-// Fingerprint canonically serializes a configuration value. fmt prints
-// map fields in sorted key order, so two equal values always produce the
-// same string regardless of construction order.
-func Fingerprint(v any) string { return engine.Fingerprint(v) }
-
 // IsCancellation reports whether err is a context cancellation or
 // deadline rather than a genuine computation failure.
 func IsCancellation(err error) bool { return engine.IsCancellation(err) }
@@ -96,7 +91,7 @@ func FirstError(errs []error, wrap func(int, error) error) error {
 	return engine.FirstError(errs, wrap)
 }
 
-// Point is one unit of experiment work: a canonical fingerprint plus the
+// Point is one unit of experiment work: a canonical key plus the
 // deterministic computation it identifies. Two points with equal non-empty
 // keys must describe identical computations; the engine computes each
 // distinct key at most once per process and serves later requests from
@@ -109,18 +104,20 @@ type Point[R any] interface {
 // Routable is implemented by points that can run somewhere other than
 // the local worker pool: RoutePayload returns a serializable
 // description of the computation — for the built-in points, the
-// sim.Config or sim.StructuralConfig itself — which the engine offers
-// to its installed Route (Engine.SetRoute) on a memo miss. A nil
-// payload, or a point that does not implement Routable, always computes
-// locally.
+// configuration's wire form (sim.WireConfig) — which the engine offers
+// to its installed Route (Engine.SetRoute) on a memo miss. The engine
+// calls RoutePayload only when it actually routes, so building the
+// payload costs nothing on a memo hit or an engine without a router. A
+// nil payload, or a point that does not implement Routable, always
+// computes locally.
 type Routable interface {
 	RoutePayload() any
 }
 
 // SimulatorConfig is the contract a configuration type meets to run as
-// a SimulatorPoint: canonical fingerprinting (Key), a self-describing
-// wire payload for cluster routing (WirePayload), and the simulation
-// itself (Run). Both sim.Config and sim.StructuralConfig satisfy it.
+// a SimulatorPoint: its point key (Key), a self-describing wire payload
+// for cluster routing (WirePayload), and the simulation itself (Run).
+// Both sim.Config and sim.StructuralConfig satisfy it.
 type SimulatorConfig[R any] interface {
 	Key() string
 	WirePayload() any
@@ -129,14 +126,25 @@ type SimulatorConfig[R any] interface {
 
 // SimulatorPoint is the one engine point for every simulator kind —
 // the generic form behind SimPoint and StructuralPoint. Its key is the
-// defaults-applied configuration's canonical fingerprint, so two
-// configurations that differ only in fields the simulator would default
-// identically (e.g. an explicit crossbar vs the zero-value default)
-// share a key.
-type SimulatorPoint[R any, C SimulatorConfig[R]] struct{ Config C }
+// configuration's point key (sim.Config.Key), which hashes the
+// defaults-applied configuration, so two configurations that differ
+// only in fields the simulator would default identically (e.g. an
+// explicit crossbar vs the zero-value default) share a key.
+type SimulatorPoint[R any, C SimulatorConfig[R]] struct {
+	Config C
+	// K is Config.Key() when the caller already derived it — the tiered
+	// evaluator keys each point once and carries the key here. Empty
+	// means Key derives it.
+	K string
+}
 
-// Key fingerprints the defaults-applied configuration.
-func (p SimulatorPoint[R, C]) Key() string { return p.Config.Key() }
+// Key returns the point key: K when set, else Config.Key().
+func (p SimulatorPoint[R, C]) Key() string {
+	if p.K != "" {
+		return p.K
+	}
+	return p.Config.Key()
+}
 
 // Compute runs the simulation.
 func (p SimulatorPoint[R, C]) Compute() (R, error) { return p.Config.Run() }
@@ -212,11 +220,12 @@ func Points[R any](ctx context.Context, e *Engine, pts []Point[R]) ([]R, error) 
 }
 
 // resolve computes one point on the engine's pool and memo; routable
-// points offer their payload to the engine's router first.
+// points offer their payload to the engine's router first, built only
+// if the engine routes the point.
 func resolve[R any](ctx context.Context, e *Engine, p Point[R]) (R, error) {
-	var payload any
+	var payload func() any
 	if rp, ok := p.(Routable); ok {
-		payload = rp.RoutePayload()
+		payload = rp.RoutePayload
 	}
 	v, err := e.DoRouted(ctx, p.Key(), payload, func() (any, error) { return p.Compute() })
 	if err != nil {
@@ -236,7 +245,7 @@ func Sims(ctx context.Context, cfgs []sim.Config) ([]sim.Result, error) {
 	}
 	pts := make([]Point[sim.Result], len(cfgs))
 	for i, c := range cfgs {
-		pts[i] = SimPoint{c}
+		pts[i] = SimPoint{Config: c}
 	}
 	return Points(ctx, FromContext(ctx), pts)
 }
@@ -250,7 +259,7 @@ func Structurals(ctx context.Context, cfgs []sim.StructuralConfig) ([]sim.Struct
 	}
 	pts := make([]Point[sim.StructuralResult], len(cfgs))
 	for i, c := range cfgs {
-		pts[i] = StructuralPoint{c}
+		pts[i] = StructuralPoint{Config: c}
 	}
 	return Points(ctx, FromContext(ctx), pts)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -91,7 +92,8 @@ func TestEmptyKeySkipsMemo(t *testing.T) {
 }
 
 // Two sim.Configs that differ only in defaulted fields share one
-// canonical fingerprint — the cross-figure dedup the engine relies on.
+// canonical key — the cross-figure dedup the engine relies on — and a
+// key the caller already derived is carried, not recomputed.
 func TestSimPointCanonicalKey(t *testing.T) {
 	w := workload.Suite()[0]
 	implicit := sim.Config{Workload: w, CoreType: tech.OoO, Cores: 16, LLCMB: 4}
@@ -100,14 +102,17 @@ func TestSimPointCanonicalKey(t *testing.T) {
 		Net: noc.New(noc.Crossbar, 16), MemChannels: 2,
 		WarmupCycles: 20000, MeasureCycles: 50000, Seed: 1,
 	}
-	ki, ke := SimPoint{implicit}.Key(), SimPoint{explicit}.Key()
+	ki, ke := SimPoint{Config: implicit}.Key(), SimPoint{Config: explicit}.Key()
 	if ki != ke {
 		t.Fatalf("canonical keys differ:\n%s\n%s", ki, ke)
 	}
 	other := explicit
 	other.Seed = 2
-	if (SimPoint{other}).Key() == ke {
+	if (SimPoint{Config: other}).Key() == ke {
 		t.Fatal("distinct seeds share a key")
+	}
+	if got := (SimPoint{Config: other, K: ke}).Key(); got != ke {
+		t.Fatalf("carried key = %q, want %q", got, ke)
 	}
 }
 
@@ -267,17 +272,21 @@ func TestMap(t *testing.T) {
 	}
 }
 
-// Fingerprint must canonicalize map-valued fields: two equal workloads
-// always print identically.
-func TestFingerprintDeterministic(t *testing.T) {
-	a := workload.Suite()[0]
-	b := workload.Suite()[0]
-	if Fingerprint(a) != Fingerprint(b) {
-		t.Fatal("equal workloads fingerprint differently")
+// Keys must canonicalize map-valued fields: two equal workloads
+// built separately always key identically, a changed parameter never
+// does, and every key carries the identity scheme's tag.
+func TestKeyDeterministic(t *testing.T) {
+	a := sim.Config{Workload: workload.Suite()[0], CoreType: tech.OoO, Cores: 16, LLCMB: 4}
+	b := sim.Config{Workload: workload.Suite()[0], CoreType: tech.OoO, Cores: 16, LLCMB: 4}
+	if a.Key() != b.Key() {
+		t.Fatal("equal workloads key differently")
 	}
-	b.APKI++
-	if Fingerprint(a) == Fingerprint(b) {
-		t.Fatal("distinct workloads share a fingerprint")
+	if !strings.HasPrefix(a.Key(), sim.KeyTag) {
+		t.Fatalf("key %q lacks the %q tag", a.Key(), sim.KeyTag)
+	}
+	b.Workload.APKI++
+	if a.Key() == b.Key() {
+		t.Fatal("distinct workloads share a key")
 	}
 }
 

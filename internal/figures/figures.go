@@ -110,7 +110,7 @@ func Renderer(format string) (func(Table) string, error) {
 // Generator produces one experiment's table. Generators declare their
 // sweep points and hand them to the engine carried by ctx (see
 // internal/exp): the engine fans points out across its worker pool and
-// memoizes them by canonical fingerprint, so the table a generator
+// memoizes them by canonical point key, so the table a generator
 // assembles is byte-identical whether the engine runs with one worker
 // or many, and configurations shared between figures are simulated once.
 type Generator func(ctx context.Context) (Table, error)

@@ -42,9 +42,9 @@ type Decision struct {
 	Err bool `json:"err,omitempty"`
 }
 
-// KeyFingerprint condenses an engine memo key — a canonical but very
-// long configuration rendering — into a short stable hex fingerprint
-// for trace records and logs. Equal keys always produce equal
+// KeyFingerprint condenses an engine memo key — a 70-byte wire hash
+// for simulator points — into a short stable hex fingerprint for trace
+// records and logs. Equal keys always produce equal
 // fingerprints, on every replica.
 func KeyFingerprint(key string) string {
 	if key == "" {

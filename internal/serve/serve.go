@@ -38,6 +38,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -306,12 +307,13 @@ func (s *Server) handleExp(w http.ResponseWriter, r *http.Request) {
 // Config instead — every field the simulators consume, including
 // interconnect and workload parameters the short form cannot express —
 // and is what a cluster coordinator forwards. Either way the point is
-// memoized by the same canonical fingerprint the experiment generators
-// use, so a point shared with a figure sweep is a cache hit.
+// memoized by the same point key (sim.Config.Key) the experiment
+// generators use, so a point shared with a figure sweep is a cache hit.
 type SweepPoint struct {
 	// Config, when present, is the complete wire-form configuration
 	// (sim.WireConfig JSON, wire_version checked first); every symbolic
-	// field below must then be unset. Build one with WirePoint.
+	// field below must then be unset. A JSON null counts as absent.
+	// Build one with WirePoint.
 	Config json.RawMessage `json:"config,omitempty"`
 
 	// Kind selects the simulator: "sim" (statistical, the default) or
@@ -333,7 +335,7 @@ type SweepPoint struct {
 	// "mesh", "flattened-butterfly", or "noc-out". LLCTiles and
 	// LinkBits require an explicit Net (LLCTiles "noc-out" only);
 	// on other nets they would be ignored by the simulator while
-	// still splitting the memo fingerprint, so they are rejected.
+	// still splitting the memo key, so they are rejected.
 	Net      string `json:"net,omitempty"`
 	LLCTiles int    `json:"llc_tiles,omitempty"` // NOC-Out LLC tiles
 	LinkBits int    `json:"link_bits,omitempty"` // link width override
@@ -352,7 +354,7 @@ type SweepPoint struct {
 // SweepRequest is the /v1/sweep body. Tier selects the evaluation
 // tier: "exact" (the default, also the empty string) answers every
 // point with a genuine simulator result — from the calibration anchor
-// store when the fingerprint matches, otherwise simulated — while
+// store when the key matches, otherwise simulated — while
 // "fast" additionally serves calibration-certified interior points from
 // the analytic surrogate, tagged source:"surrogate" in the result.
 // Unknown tier names are rejected with 400.
@@ -392,10 +394,8 @@ type SweepResponse struct {
 const maxSweepBody = 8 << 20
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSweepBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSweepBody))
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			// The cap fired before validation could: a structured 413
@@ -408,97 +408,47 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad sweep request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if len(req.Points) == 0 {
-		http.Error(w, "sweep request has no points", http.StatusBadRequest)
-		return
-	}
-	if len(req.Points) > MaxSweepPoints {
-		http.Error(w, fmt.Sprintf("sweep request has %d points, max %d", len(req.Points), MaxSweepPoints),
-			http.StatusBadRequest)
+	b, err := parseSweep(body)
+	if err != nil {
+		writeSweepError(w, body, err)
 		return
 	}
 
-	mode, ok := tier.ParseMode(req.Tier)
-	if !ok {
-		http.Error(w, fmt.Sprintf("unknown tier %q (want exact or fast)", req.Tier), http.StatusBadRequest)
-		return
-	}
-
-	// Group the points by simulator kind: each group is one batch
-	// through the tiered evaluator, which scores every point on the
-	// surrogate and escalates only what the tier mode requires.
-	kinds := make([]string, len(req.Points))
-	var simIdx []int
-	var simCfgs []sim.Config
-	var structIdx []int
-	var structCfgs []sim.StructuralConfig
-	for i, p := range req.Points {
-		kind, cfg, err := p.config()
-		if err != nil {
-			var ve *sim.WireVersionError
-			if errors.As(err, &ve) {
-				// Version negotiation is structured so a coordinator can
-				// tell "this replica does not speak my wire version"
-				// (permanent, try another replica) from a transient
-				// failure it should retry.
-				writeJSON(w, http.StatusBadRequest, WireVersionErrorResponse{
-					Error:       fmt.Sprintf("point %d: %v", i, err),
-					WireVersion: ve.Version,
-					Supported:   sim.WireVersion,
-				})
-				return
-			}
-			http.Error(w, fmt.Sprintf("point %d: %v", i, err), http.StatusBadRequest)
-			return
-		}
-		kinds[i] = kind
-		switch c := cfg.(type) {
-		case sim.Config:
-			simIdx = append(simIdx, i)
-			simCfgs = append(simCfgs, c)
-		case sim.StructuralConfig:
-			structIdx = append(structIdx, i)
-			structCfgs = append(structCfgs, c)
-		}
-	}
-
-	ctx := tier.WithMode(exp.WithEngine(r.Context(), s.eng), mode)
+	ctx := tier.WithMode(exp.WithEngine(r.Context(), s.eng), b.mode)
 	if r.Header.Get(ForwardedHeader) != "" {
 		// Already forwarded once by a coordinator: compute here, never
 		// re-route, so a peer cycle cannot bounce work forever.
 		ctx = exp.DisableRouting(ctx)
 	}
 
-	resp := SweepResponse{Results: make([]SweepResult, len(req.Points))}
+	resp := SweepResponse{Results: make([]SweepResult, len(b.kinds))}
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
-	if len(simCfgs) > 0 {
+	if len(b.simCfgs) > 0 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := s.tier.Sims(ctx, simCfgs)
+			res, err := s.tier.Sims(ctx, b.simCfgs)
 			if err != nil {
 				errs[0] = err
 				return
 			}
-			for k, i := range simIdx {
-				r := res[k]
-				resp.Results[i].Sim = &r
+			for k, i := range b.simIdx {
+				resp.Results[i].Sim = &res[k]
 			}
 		}()
 	}
-	if len(structCfgs) > 0 {
+	if len(b.structCfgs) > 0 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := s.tier.Structurals(ctx, structCfgs)
+			res, err := s.tier.Structurals(ctx, b.structCfgs)
 			if err != nil {
 				errs[1] = err
 				return
 			}
-			for k, i := range structIdx {
-				r := res[k]
-				resp.Results[i].Structural = &r
+			for k, i := range b.structIdx {
+				resp.Results[i].Structural = &res[k]
 			}
 		}()
 	}
@@ -513,9 +463,143 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	for i := range resp.Results {
-		resp.Results[i].Kind = kinds[i]
+		resp.Results[i].Kind = b.kinds[i]
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// sweepBatch is a validated /v1/sweep request: its tier mode and its
+// points grouped by simulator kind — each group is one batch through
+// the tiered evaluator — with every point's input index and kind.
+type sweepBatch struct {
+	mode       tier.Mode
+	kinds      []string
+	simIdx     []int
+	simCfgs    []sim.Config
+	structIdx  []int
+	structCfgs []sim.StructuralConfig
+}
+
+// add appends point i's validated configuration to its kind's group.
+func (b *sweepBatch) add(i int, cfg any) {
+	switch c := cfg.(type) {
+	case sim.Config:
+		b.kinds[i] = "sim"
+		b.simIdx = append(b.simIdx, i)
+		b.simCfgs = append(b.simCfgs, c)
+	case sim.StructuralConfig:
+		b.kinds[i] = "structural"
+		b.structIdx = append(b.structIdx, i)
+		b.structCfgs = append(b.structCfgs, c)
+	}
+}
+
+// sweepRequest is how /v1/sweep decodes a SweepRequest: each point's
+// "config" object is decoded in line as a sim.WireConfig, instead of
+// captured raw and decoded a second time. The symbolic fields land in
+// the embedded SweepPoint, whose own Config is shadowed and stays
+// empty; a JSON null config is the same as an absent one.
+type sweepRequest struct {
+	Tier   string `json:"tier,omitempty"`
+	Points []struct {
+		Config *sim.WireConfig `json:"config,omitempty"`
+		SweepPoint
+	} `json:"points"`
+}
+
+// parseSweep decodes and validates a request in one pass — wire
+// configs in line, symbolic points through SweepPoint.config — and
+// groups its points. Its errors are terse: writeSweepError turns a
+// refused request into its response.
+func parseSweep(body []byte) (sweepBatch, error) {
+	var req sweepRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return sweepBatch{}, err
+	}
+	if len(req.Points) == 0 || len(req.Points) > MaxSweepPoints {
+		return sweepBatch{}, fmt.Errorf("sweep request has %d points", len(req.Points))
+	}
+	mode, ok := tier.ParseMode(req.Tier)
+	if !ok {
+		return sweepBatch{}, fmt.Errorf("unknown tier %q", req.Tier)
+	}
+	b := sweepBatch{mode: mode, kinds: make([]string, len(req.Points))}
+	for i, p := range req.Points {
+		var (
+			cfg any
+			err error
+		)
+		switch {
+		case p.Config == nil:
+			cfg, err = p.SweepPoint.config()
+		case !p.legacyEmpty():
+			err = errMixedForms
+		case p.Config.Version != sim.WireVersion:
+			err = &sim.WireVersionError{Version: p.Config.Version}
+		default:
+			cfg, err = p.Config.Decode()
+		}
+		if err != nil {
+			return sweepBatch{}, fmt.Errorf("point %d: %w", i, err)
+		}
+		b.add(i, cfg)
+	}
+	return b, nil
+}
+
+// writeSweepError writes the 400 for a request parseSweep refused,
+// re-reading the body point by point with each config captured raw and
+// decoded alone by sim.UnmarshalWire. Only that decode can name a
+// config's wire_version when the config also has fields this version
+// does not know — decoded in line, the unknown field fails the whole
+// request first — and the version mismatch must win: it is the
+// structured answer a coordinator treats as permanent. err, parseSweep's
+// own error, is the response if the re-read finds nothing more precise.
+func writeSweepError(w http.ResponseWriter, body []byte, err error) {
+	var req SweepRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		http.Error(w, "bad sweep request: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	if len(req.Points) == 0 {
+		http.Error(w, "sweep request has no points", http.StatusBadRequest)
+		return
+	}
+	if len(req.Points) > MaxSweepPoints {
+		http.Error(w, fmt.Sprintf("sweep request has %d points, max %d", len(req.Points), MaxSweepPoints),
+			http.StatusBadRequest)
+		return
+	}
+	if _, ok := tier.ParseMode(req.Tier); !ok {
+		http.Error(w, fmt.Sprintf("unknown tier %q (want exact or fast)", req.Tier), http.StatusBadRequest)
+		return
+	}
+	for i, p := range req.Points {
+		_, perr := p.config()
+		var ve *sim.WireVersionError
+		switch {
+		case perr == nil:
+			continue
+		case errors.As(perr, &ve):
+			// Version negotiation is structured so a coordinator can
+			// tell "this replica does not speak my wire version"
+			// (permanent, try another replica) from a transient
+			// failure it should retry.
+			writeJSON(w, http.StatusBadRequest, WireVersionErrorResponse{
+				Error:       fmt.Sprintf("point %d: %v", i, perr),
+				WireVersion: ve.Version,
+				Supported:   sim.WireVersion,
+			})
+		default:
+			http.Error(w, fmt.Sprintf("point %d: %v", i, perr), http.StatusBadRequest)
+		}
+		return
+	}
+	http.Error(w, "bad sweep request: "+err.Error(), http.StatusBadRequest)
 }
 
 // WirePoint wraps a configuration's wire form in the SweepPoint that
@@ -540,50 +624,43 @@ func (p SweepPoint) legacyEmpty() bool {
 		p.Seed == 0 && !p.DisableSWScaling && p.L1MSHRs == 0
 }
 
+// errMixedForms refuses a point that carries both forms.
+var errMixedForms = errors.New("config cannot be combined with the symbolic short-form fields")
+
 // config resolves the request into a validated simulator configuration
-// — a sim.Config or sim.StructuralConfig matching kind. A "config"
-// wire object is decoded with its version checked first
+// — a sim.Config or sim.StructuralConfig matching its kind. A "config"
+// wire object (a JSON null one counts as absent) is decoded with its
+// version checked first
 // (*sim.WireVersionError on mismatch); otherwise the symbolic short
 // form is resolved against the calibrated models.
-func (p SweepPoint) config() (kind string, cfg any, err error) {
-	if len(p.Config) > 0 {
+func (p SweepPoint) config() (any, error) {
+	if len(p.Config) > 0 && string(p.Config) != "null" {
 		if !p.legacyEmpty() {
-			return "", nil, fmt.Errorf("config cannot be combined with the symbolic short-form fields")
+			return nil, errMixedForms
 		}
 		wc, err := sim.UnmarshalWire(p.Config)
 		if err != nil {
-			return "", nil, err
+			return nil, err
 		}
-		c, err := wc.Decode()
-		if err != nil {
-			return "", nil, err
-		}
-		switch c.(type) {
-		case sim.Config:
-			return "sim", c, nil
-		case sim.StructuralConfig:
-			return "structural", c, nil
-		default:
-			return "", nil, fmt.Errorf("unsupported wire config type %T", c)
-		}
+		return wc.Decode()
 	}
 	w, ok := workload.ByName(p.Workload)
 	if !ok {
-		return "", nil, fmt.Errorf("unknown workload %q (want one of: %s)",
+		return nil, fmt.Errorf("unknown workload %q (want one of: %s)",
 			p.Workload, strings.Join(workload.Names(), ", "))
 	}
 	core, err := parseCore(p.Core)
 	if err != nil {
-		return "", nil, err
+		return nil, err
 	}
 	net, err := p.net()
 	if err != nil {
-		return "", nil, err
+		return nil, err
 	}
 	switch p.Kind {
 	case "", "sim":
 		if p.L1MSHRs != 0 {
-			return "", nil, fmt.Errorf("l1_mshrs applies to structural points only")
+			return nil, fmt.Errorf("l1_mshrs applies to structural points only")
 		}
 		c := sim.Config{
 			Workload: w, CoreType: core, Cores: p.Cores, LLCMB: p.LLCMB,
@@ -592,12 +669,12 @@ func (p SweepPoint) config() (kind string, cfg any, err error) {
 			Seed: p.Seed, DisableSWScaling: p.DisableSWScaling,
 		}
 		if _, err := c.Canonical(); err != nil {
-			return "", nil, err
+			return nil, err
 		}
-		return "sim", c, nil
+		return c, nil
 	case "structural":
 		if p.DisableSWScaling {
-			return "", nil, fmt.Errorf("disable_sw_scaling applies to sim points only")
+			return nil, fmt.Errorf("disable_sw_scaling applies to sim points only")
 		}
 		c := sim.StructuralConfig{
 			Workload: w, CoreType: core, Cores: p.Cores, LLCMB: p.LLCMB,
@@ -606,17 +683,17 @@ func (p SweepPoint) config() (kind string, cfg any, err error) {
 			Seed: p.Seed, L1MSHRs: p.L1MSHRs,
 		}
 		if _, err := c.Canonical(); err != nil {
-			return "", nil, err
+			return nil, err
 		}
-		return "structural", c, nil
+		return c, nil
 	default:
-		return "", nil, fmt.Errorf("unknown kind %q (want sim or structural)", p.Kind)
+		return nil, fmt.Errorf("unknown kind %q (want sim or structural)", p.Kind)
 	}
 }
 
 // net builds the point's interconnect. An empty name leaves the zero
 // Config so the simulator applies its own crossbar default, keeping the
-// fingerprint identical to a CLI sweep that did the same; overrides on
+// key identical to a CLI sweep that did the same; overrides on
 // a net that cannot use them are rejected rather than silently
 // splitting the memo key.
 func (p SweepPoint) net() (noc.Config, error) {
@@ -670,7 +747,5 @@ func parseCore(name string) (tech.CoreType, error) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }

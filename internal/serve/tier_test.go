@@ -53,7 +53,7 @@ func TestSweepExactMatchesDirect(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	_, cfg, err := pt.config()
+	cfg, err := pt.config()
 	if err != nil {
 		t.Fatal(err)
 	}

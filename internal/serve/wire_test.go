@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"scaleout/internal/noc"
@@ -60,9 +61,9 @@ func TestWirePointRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("net[%d]: WirePoint: %v", i, err)
 		}
-		kind, dec, err := p.config()
-		if err != nil || kind != "sim" {
-			t.Fatalf("net[%d]: round-trip resolve: kind %q, err %v", i, kind, err)
+		dec, err := p.config()
+		if _, ok := dec.(sim.Config); err != nil || !ok {
+			t.Fatalf("net[%d]: round-trip resolve: %T, err %v", i, dec, err)
 		}
 		if dec.(sim.Config).Key() != cfg.Key() {
 			t.Fatalf("net[%d]: round-trip key mismatch:\n got %s\nwant %s", i, dec.(sim.Config).Key(), cfg.Key())
@@ -79,7 +80,7 @@ func TestWirePointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("perturbed WirePoint: %v", err)
 	}
-	if _, dec, err := p.config(); err != nil || dec.(sim.Config).Key() != mod.Key() {
+	if dec, err := p.config(); err != nil || dec.(sim.Config).Key() != mod.Key() {
 		t.Fatalf("perturbed round-trip failed: %v", err)
 	}
 
@@ -95,9 +96,9 @@ func TestWirePointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("structural WirePoint: %v", err)
 	}
-	kind, dec, err := sp.config()
-	if err != nil || kind != "structural" {
-		t.Fatalf("structural round-trip resolve: kind %q, err %v", kind, err)
+	dec, err := sp.config()
+	if _, ok := dec.(sim.StructuralConfig); err != nil || !ok {
+		t.Fatalf("structural round-trip resolve: %T, err %v", dec, err)
 	}
 	if dec.(sim.StructuralConfig).Key() != scfg.Key() {
 		t.Fatalf("structural round-trip key mismatch:\n got %s\nwant %s",
@@ -188,7 +189,7 @@ func TestSweepWireRejectsMixedForms(t *testing.T) {
 		t.Fatalf("WirePoint: %v", err)
 	}
 	p.Workload = cfg.Workload.Name // reintroduce a symbolic field
-	if _, _, err := p.config(); err == nil {
+	if _, err := p.config(); err == nil {
 		t.Fatal("config() accepted a point mixing wire and symbolic forms")
 	}
 
@@ -220,5 +221,53 @@ func TestSweepWireRejectsInvalidConfig(t *testing.T) {
 	status, body := postSweep(t, srv.URL, SweepRequest{Points: []SweepPoint{{Config: raw}}})
 	if status != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400 for an invalid wire workload: %s", status, body)
+	}
+}
+
+// TestSweepWireErrorsPerPoint: a request the one-pass decode refuses
+// is answered from the point-by-point re-read, so a bad config beside
+// a good one gets the error naming its point — and a config from
+// another wire version gets the structured version error even when its
+// unknown fields fail the in-line decode first. A JSON null config is
+// an absent one: beside complete symbolic fields it is served as the
+// symbolic point.
+func TestSweepWireErrorsPerPoint(t *testing.T) {
+	srv := httptest.NewServer(New(nil))
+	t.Cleanup(srv.Close)
+	good, err := sim.Config{Workload: suiteWorkload(t, workload.Names()[0]), CoreType: tech.OoO,
+		Cores: 4, LLCMB: 2, WarmupCycles: 300, MeasureCycles: 300}.MarshalWire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		config, workload, want string
+	}{
+		{`{"wire_version": 1, "field_from_the_future": true}`, "", "field_from_the_future"},
+		{`{}`, "", "missing wire_version"},
+		{string(good), workload.Names()[0], "cannot be combined"},
+		{`{"wire_version": 1, "kind": "sim", "core": "quantum"}`, "", "quantum"},
+	} {
+		status, body := postSweep(t, srv.URL, SweepRequest{Points: []SweepPoint{
+			{Config: good}, {Config: json.RawMessage(tc.config), Workload: tc.workload},
+		}})
+		if status != http.StatusBadRequest || !strings.Contains(body, "point 1: ") || !strings.Contains(body, tc.want) {
+			t.Errorf("config %s: status %d body %q, want a point-1 400 naming %q", tc.config, status, body, tc.want)
+		}
+	}
+
+	status, body := postSweep(t, srv.URL, SweepRequest{Points: []SweepPoint{
+		{Config: good}, {Config: json.RawMessage(`{"wire_version": 99, "field_from_the_future": true}`)},
+	}})
+	var ver WireVersionErrorResponse
+	if err := json.Unmarshal([]byte(body), &ver); status != http.StatusBadRequest || err != nil ||
+		ver.WireVersion != 99 || !strings.Contains(ver.Error, "point 1: ") {
+		t.Errorf("future-version config: status %d body %q, want the structured point-1 version 400", status, body)
+	}
+
+	sym := cheapPoint("sim", 3)
+	_, want := postSweep(t, srv.URL, SweepRequest{Points: []SweepPoint{sym}})
+	sym.Config = json.RawMessage(`null`)
+	if status, got := postSweep(t, srv.URL, SweepRequest{Points: []SweepPoint{sym}}); status != http.StatusOK || got != want {
+		t.Errorf("null config beside symbolic fields: status %d body %q, want the symbolic point's %q", status, got, want)
 	}
 }

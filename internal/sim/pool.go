@@ -9,7 +9,8 @@
 // pooled-vs-fresh golden test asserts byte-identical results). The
 // warm-start LLC image is memoized separately (prefillImages), so a
 // recycled machine replays it with array copies instead of re-inserting
-// the workload's whole resident footprint.
+// the workload's whole resident footprint. Both live in keyedPools,
+// which release them once a sweep stops using them for two GC cycles.
 package sim
 
 import (
@@ -56,22 +57,116 @@ func shapeOf(cfg StructuralConfig) machineShape {
 	}
 }
 
-// structMachinePool holds idle machines per shape. Retention is bounded
-// globally; when the bound is hit the oldest pooled machine (FIFO
-// across shapes) is dropped so a shape-diverse harness cannot pin
-// arbitrary memory.
-type structMachinePool struct {
-	mu    sync.Mutex
-	free  map[machineShape][]*structMachine
-	order []machineShape // one entry per pooled machine, in put order
-	limit int
-	total int
+// keyedPools holds idle values by key. Reuse is deterministic: a value
+// put back is what the next get for its key returns, on any goroutine
+// (a sync.Pool would hide it in the releasing P's private slot, so a
+// get scheduled on another P missed it at random). Retention follows
+// the garbage collector instead of a count bound: every GC cycle ages
+// the pools, and a value idle across two cycles is dropped — so an
+// idle process pins no simulator memory — and a key with nothing left
+// leaves the maps, so however many distinct keys requests bring, the
+// maps hold only what was released since the last two GC cycles.
+type keyedPools[K comparable] struct {
+	mu  sync.Mutex
+	cur map[K][]any // released or reused since the last GC
+	old map[K][]any // idle since the GC before that; dropped at the next
 }
 
-var machinePool = &structMachinePool{
-	free:  map[machineShape][]*structMachine{},
-	limit: 2 * runtime.GOMAXPROCS(0),
+// get removes and returns the most recently released value for key,
+// or nil.
+func (k *keyedPools[K]) get(key K) any {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if v := pop(k.cur, key); v != nil {
+		return v
+	}
+	return pop(k.old, key)
 }
+
+// peek returns the most recently released value for key without
+// taking it, marking it used so it survives the next GC; nil if none.
+func (k *keyedPools[K]) peek(key K) any {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if vs := k.cur[key]; len(vs) > 0 {
+		return vs[len(vs)-1]
+	}
+	v := pop(k.old, key)
+	if v != nil {
+		k.putLocked(key, v)
+	}
+	return v
+}
+
+// put makes v available to later gets for key.
+func (k *keyedPools[K]) put(key K, v any) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	k.putLocked(key, v)
+}
+
+func (k *keyedPools[K]) putLocked(key K, v any) {
+	if k.cur == nil {
+		k.cur = map[K][]any{}
+	}
+	k.cur[key] = append(k.cur[key], v)
+}
+
+// age drops every value idle since the previous call; see onEveryGC.
+func (k *keyedPools[K]) age() {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	k.old, k.cur = k.cur, nil
+}
+
+// drain forgets every value.
+func (k *keyedPools[K]) drain() {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	k.cur, k.old = nil, nil
+}
+
+// pop removes and returns the last value under key, deleting the key
+// once it holds nothing.
+func pop[K comparable](m map[K][]any, key K) any {
+	vs := m[key]
+	if len(vs) == 0 {
+		return nil
+	}
+	v := vs[len(vs)-1]
+	if len(vs) == 1 {
+		delete(m, key)
+	} else {
+		vs[len(vs)-1] = nil
+		m[key] = vs[:len(vs)-1]
+	}
+	return v
+}
+
+// gcSentinel is an object whose finalizer marks a GC cycle. It holds a
+// pointer so the allocator never batches it with other tiny objects,
+// which would delay its finalizer indefinitely.
+type gcSentinel struct{ _ *byte }
+
+// onEveryGC calls f (on the finalizer goroutine) after each garbage
+// collection: each cycle finds the previous sentinel unreachable, runs
+// its finalizer, and the finalizer arms the next one.
+func onEveryGC(f func()) {
+	runtime.SetFinalizer(&gcSentinel{}, func(*gcSentinel) {
+		f()
+		onEveryGC(f)
+	})
+}
+
+func init() {
+	onEveryGC(func() {
+		machinePool.age()
+		prefillImages.age()
+	})
+}
+
+// machinePool holds idle structural machines by allocation shape.
+var machinePool keyedPools[machineShape]
 
 // machinePoolDisabled turns acquire/release into plain construction and
 // disposal; see UseMachinePool.
@@ -90,59 +185,11 @@ func UseMachinePool(on bool) {
 	}
 }
 
-func (p *structMachinePool) get(shape machineShape) *structMachine {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	list := p.free[shape]
-	if len(list) == 0 {
-		return nil
-	}
-	m := list[len(list)-1]
-	p.free[shape] = list[:len(list)-1]
-	p.total--
-	// Drop the newest order entry for this shape (the lists are LIFO).
-	for i := len(p.order) - 1; i >= 0; i-- {
-		if p.order[i] == shape {
-			p.order = append(p.order[:i], p.order[i+1:]...)
-			break
-		}
-	}
-	return m
-}
-
-func (p *structMachinePool) put(m *structMachine) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.total >= p.limit {
-		// Evict the oldest pooled machine of any shape, clearing its
-		// slot so the multi-MB machine is actually collectable instead
-		// of lingering in the slice's backing array.
-		oldest := p.order[0]
-		p.order = p.order[1:]
-		list := p.free[oldest]
-		copy(list, list[1:])
-		list[len(list)-1] = nil
-		p.free[oldest] = list[:len(list)-1]
-		p.total--
-	}
-	p.free[m.shape] = append(p.free[m.shape], m)
-	p.order = append(p.order, m.shape)
-	p.total++
-}
-
-func (p *structMachinePool) drain() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	clear(p.free)
-	p.order = p.order[:0]
-	p.total = 0
-}
-
 // acquireStructMachine returns a machine ready to run cfg: a pooled
 // machine of matching shape reset in place, or a fresh construction.
 func acquireStructMachine(cfg StructuralConfig) (*structMachine, error) {
 	if !machinePoolDisabled.Load() {
-		if m := machinePool.get(shapeOf(cfg)); m != nil {
+		if m, ok := machinePool.get(shapeOf(cfg)).(*structMachine); ok {
 			if err := m.reset(cfg); err != nil {
 				return nil, err
 			}
@@ -157,7 +204,7 @@ func releaseStructMachine(m *structMachine) {
 	if machinePoolDisabled.Load() {
 		return
 	}
-	machinePool.put(m)
+	machinePool.put(m.shape, m)
 }
 
 // prefillKey identifies a warm-start LLC image: the fill replays the
@@ -179,39 +226,20 @@ type prefillImage struct {
 	offChipLines uint64
 }
 
-// prefillImageCache holds warm-start images, FIFO-bounded like the
-// machine pool — each image clones a full LLC, so an unbounded map
-// would let a geometry-diverse sweep pin arbitrary memory. An evicted
-// key just replays its fill on the next miss.
-type prefillImageCache struct {
-	mu     sync.Mutex
-	images map[prefillKey]*prefillImage
-	order  []prefillKey
-	limit  int
-}
+// prefillImageCache holds warm-start images by key, released like idle
+// machines once no sweep uses them — each image clones a full LLC. A
+// released key just replays its fill on the next miss.
+type prefillImageCache struct{ keyedPools[prefillKey] }
 
-var prefillImages = &prefillImageCache{
-	images: map[prefillKey]*prefillImage{},
-	limit:  8,
-}
+var prefillImages prefillImageCache
 
+// load returns key's image if one is held. Images are read-only, so
+// the image stays in the cache: concurrent machines of the same key
+// share it rather than each replaying the fill.
 func (c *prefillImageCache) load(key prefillKey) (*prefillImage, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	img, ok := c.images[key]
+	img, ok := c.peek(key).(*prefillImage)
 	return img, ok
 }
 
-func (c *prefillImageCache) store(key prefillKey, img *prefillImage) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.images[key]; ok {
-		return // another machine raced the same deterministic fill
-	}
-	if len(c.order) >= c.limit {
-		delete(c.images, c.order[0])
-		c.order = c.order[1:]
-	}
-	c.images[key] = img
-	c.order = append(c.order, key)
-}
+// store makes a freshly filled image available to later loads.
+func (c *prefillImageCache) store(key prefillKey, img *prefillImage) { c.put(key, img) }

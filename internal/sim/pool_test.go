@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"scaleout/internal/noc"
 	"scaleout/internal/tech"
@@ -58,17 +60,6 @@ func TestMachinePoolEquivalence(t *testing.T) {
 		}
 	}
 
-	// The shape-sharing prefix must actually have recycled: after the
-	// sequence the pool holds fewer machines than configurations run.
-	machinePool.mu.Lock()
-	total := machinePool.total
-	machinePool.mu.Unlock()
-	if total >= len(cfgs) {
-		t.Fatalf("pool holds %d machines after %d runs; reuse never happened", total, len(cfgs))
-	}
-	if total == 0 {
-		t.Fatal("pool empty after pooled runs")
-	}
 }
 
 // A pooled machine must also behave identically on the lock-step
@@ -94,42 +85,80 @@ func TestMachinePoolEquivalenceLockstep(t *testing.T) {
 	}
 }
 
-// The pool must never retain more machines than its global bound, and
-// eviction must leave the bookkeeping consistent.
-func TestMachinePoolBound(t *testing.T) {
+// Idle pools pin no memory: once no sweep is running, garbage
+// collections release every pooled machine and warm-start image, so a
+// daemon between sweeps does not hold multi-MB LLC arrays. The pools
+// age on the finalizer goroutine after each GC, so the test polls.
+func TestIdlePoolsReclaimedByGC(t *testing.T) {
 	UseMachinePool(true)
 	defer UseMachinePool(true)
-	machinePool.drain()
 	cfg := StructuralConfig{Workload: workload.Suite()[0], CoreType: tech.OoO, Cores: 4, LLCMB: 1,
 		WarmupCycles: 500, MeasureCycles: 500}
-	if err := cfg.applyDefaults(); err != nil {
+	if _, err := RunStructural(cfg); err != nil {
 		t.Fatal(err)
 	}
-	// Hold more machines live than the pool bound, then release all.
-	n := machinePool.limit + 3
-	ms := make([]*structMachine, 0, n)
-	for i := 0; i < n; i++ {
-		m, err := acquireStructMachine(cfg)
-		if err != nil {
-			t.Fatal(err)
+	if machinePool.len() == 0 || prefillImages.len() == 0 {
+		t.Fatal("a finished run left no idle machine or warm-start image to reclaim")
+	}
+	for i := 0; i < 100 && machinePool.len()+prefillImages.len() > 0; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if n := machinePool.len(); n != 0 {
+		t.Fatalf("idle machines of %d shapes survived 100 GC cycles", n)
+	}
+	if n := prefillImages.len(); n != 0 {
+		t.Fatalf("idle warm-start images of %d keys survived 100 GC cycles", n)
+	}
+}
+
+// len reports how many keys hold a value.
+func (k *keyedPools[K]) len() int {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return len(k.cur) + len(k.old)
+}
+
+// keyedPools hands a released value to the next get on any goroutine,
+// keeps it across one aging, drops it at the second, and never keeps a
+// key that holds nothing — so a stream of distinct keys leaves no
+// entries behind.
+func TestKeyedPoolsReuseAndForget(t *testing.T) {
+	var k keyedPools[int]
+	const n = 1000
+	done := make(chan struct{})
+	go func() {
+		for i := 0; i < n; i++ {
+			k.put(i, i)
 		}
-		ms = append(ms, m)
+		close(done)
+	}()
+	<-done
+	for i := 0; i < n; i++ {
+		if v := k.get(i); v != i {
+			t.Fatalf("get(%d) = %v after a put on another goroutine", i, v)
+		}
 	}
-	for _, m := range ms {
-		releaseStructMachine(m)
+	if l := k.len(); l != 0 {
+		t.Fatalf("%d keys left after every value was taken", l)
 	}
-	machinePool.mu.Lock()
-	total, orderLen := machinePool.total, len(machinePool.order)
-	listLen := 0
-	for _, l := range machinePool.free {
-		listLen += len(l)
+	for i := 0; i < n; i++ {
+		k.put(i, i)
 	}
-	machinePool.mu.Unlock()
-	if total > machinePool.limit {
-		t.Fatalf("pool retains %d machines, limit %d", total, machinePool.limit)
+	k.age()
+	if v := k.peek(7); v != 7 {
+		t.Fatalf("peek(7) = %v after one aging, want 7", v)
 	}
-	if total != orderLen || total != listLen {
-		t.Fatalf("pool bookkeeping inconsistent: total %d, order %d, listed %d", total, orderLen, listLen)
+	if v := k.get(8); v != 8 {
+		t.Fatalf("get(8) = %v after one aging, want 8", v)
+	}
+	k.age() // 7 was used since the first aging; the rest were idle
+	if l := k.len(); l != 1 {
+		t.Fatalf("%d keys survived two agings, want only the peeked one", l)
+	}
+	k.age()
+	if l := k.len(); l != 0 {
+		t.Fatalf("%d keys survived after every value went idle", l)
 	}
 }
 
@@ -187,47 +216,20 @@ func TestStructMissMSHRFullGuard(t *testing.T) {
 	}
 }
 
-// The warm-start image cache must evict FIFO past its bound — each
-// image clones a full LLC, so unbounded retention would let a
-// geometry-diverse sweep pin arbitrary memory.
-func TestPrefillImageCacheBound(t *testing.T) {
-	c := &prefillImageCache{images: map[prefillKey]*prefillImage{}, limit: 2}
-	k := func(i int) prefillKey { return prefillKey{instrFootprintMB: float64(i), banks: 1, bankBytes: 1} }
-	for i := 1; i <= 3; i++ {
-		c.store(k(i), &prefillImage{})
-	}
-	if len(c.images) != 2 || len(c.order) != 2 {
-		t.Fatalf("cache holds %d images / %d order entries, limit 2", len(c.images), len(c.order))
-	}
-	if _, ok := c.load(k(1)); ok {
-		t.Fatal("oldest image survived eviction")
-	}
-	for i := 2; i <= 3; i++ {
-		if _, ok := c.load(k(i)); !ok {
-			t.Fatalf("image %d missing", i)
-		}
-	}
-	// Re-storing an existing key must not duplicate its order entry.
-	c.store(k(3), &prefillImage{})
-	if len(c.order) != 2 {
-		t.Fatalf("duplicate store grew order to %d", len(c.order))
-	}
-}
-
 // The warm-start image cache must hold an entry after a structural run
 // and replay it into a pooled machine exactly (covered value-wise by
 // TestMachinePoolEquivalence; this pins the mechanism itself).
 func TestPrefillImageMemoized(t *testing.T) {
 	cfg := StructuralConfig{Workload: workload.Suite()[0], CoreType: tech.OoO, Cores: 4, LLCMB: 1,
 		WarmupCycles: 500, MeasureCycles: 500}
-	if _, err := RunStructural(cfg); err != nil {
-		t.Fatal(err)
-	}
 	cc, err := cfg.Canonical()
 	if err != nil {
 		t.Fatal(err)
 	}
 	banks := cc.base().banksFor()
+	if _, err := RunStructural(cfg); err != nil {
+		t.Fatal(err)
+	}
 	key := prefillKey{
 		instrFootprintMB: cc.Workload.InstrFootprintMB,
 		banks:            banks,

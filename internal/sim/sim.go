@@ -125,25 +125,13 @@ func (c *Config) applyDefaults() error {
 }
 
 // Canonical returns the configuration with every default applied — the
-// form under which two Configs describe the same simulation. Experiment
-// engines use it to fingerprint sweep points, so a Config with an
-// explicit default (say, Seed 1) deduplicates against one that left the
-// field zero. It reports an error for invalid configurations.
+// form under which two Configs describe the same simulation. Key hashes
+// its wire encoding, so a Config with an explicit default (say, Seed 1)
+// deduplicates against one that left the field zero. It reports an
+// error for invalid configurations.
 func (c Config) Canonical() (Config, error) {
 	err := c.applyDefaults()
 	return c, err
-}
-
-// Key canonically fingerprints the defaults-applied configuration — the
-// memo key under which experiment engines (internal/exp) deduplicate
-// identical sweep points. Invalid configurations key their raw form;
-// running them reports the validation error.
-func (c Config) Key() string {
-	cc, err := c.Canonical()
-	if err != nil {
-		cc = c
-	}
-	return "sim:" + engine.Fingerprint(cc)
 }
 
 // banksFor mirrors the analytic model's banking rule (Table 3.1): UCA

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"scaleout/internal/cache"
-	"scaleout/internal/exp/engine"
 	"scaleout/internal/noc"
 	"scaleout/internal/tech"
 	"scaleout/internal/trace"
@@ -77,22 +76,11 @@ func (c *StructuralConfig) applyDefaults() error {
 	return nil
 }
 
-// Canonical returns the configuration with every default applied, for
-// canonical fingerprinting by experiment engines (see Config.Canonical).
+// Canonical returns the configuration with every default applied, the
+// form Key hashes (see Config.Canonical).
 func (c StructuralConfig) Canonical() (StructuralConfig, error) {
 	err := c.applyDefaults()
 	return c, err
-}
-
-// Key canonically fingerprints the defaults-applied configuration — the
-// memo key under which experiment engines deduplicate identical
-// structural sweep points.
-func (c StructuralConfig) Key() string {
-	cc, err := c.Canonical()
-	if err != nil {
-		cc = c
-	}
-	return "structural:" + engine.Fingerprint(cc)
 }
 
 // base maps the structural configuration onto the statistical Config the

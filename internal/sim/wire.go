@@ -2,8 +2,11 @@ package sim
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"reflect"
 
 	"scaleout/internal/noc"
 	"scaleout/internal/tech"
@@ -28,10 +31,11 @@ const WireVersion = 1
 // process".
 //
 // Producers build one with Config.Wire or StructuralConfig.Wire, which
-// canonicalize first and enforce round-trip key equality; consumers
+// canonicalize first and enforce a lossless round trip; consumers
 // decode bytes with UnmarshalWire and materialize the configuration
-// with Decode. The memo key is always re-derived from the decoded form
-// (Config.Key / StructuralConfig.Key), never carried on the wire.
+// with Decode. The canonical JSON encoding is also the point's
+// identity: Config.Key is KeyTag plus its SHA-256. The key is always
+// re-derived from the decoded form, never carried on the wire.
 type WireConfig struct {
 	// Version is the encoding version (WireVersion); wire_version is
 	// the first field a receiver checks.
@@ -77,16 +81,17 @@ func (e *WireVersionError) Error() string {
 }
 
 // Unroutable is the route payload of an engine point whose
-// configuration could not be converted to the wire form — an invalid
-// configuration, or one a future Config field is not yet carried for
-// (the round-trip key check in Wire catches that regression). Shipping
+// configuration could not be converted to the wire form — one a future
+// Config field is not yet carried for (the round-trip check in Wire
+// catches that regression). An invalid configuration has an empty key,
+// so the engine runs it locally and never asks for its payload. Shipping
 // this marker instead of a nil payload keeps the failure visible: the
 // cluster coordinator counts and logs it before declining, so
 // representability gaps surface in /statsz rather than silently
 // computing locally.
 type Unroutable struct {
-	// Key is the point's memo fingerprint; Err says why it cannot
-	// travel.
+	// Key is the point's key (empty for an invalid configuration); Err
+	// says why it cannot travel.
 	Key string
 	Err error
 }
@@ -120,23 +125,30 @@ func parseWireCore(name string) (tech.CoreType, bool) {
 	}
 }
 
-// Wire converts the configuration to its canonical wire form. The
-// configuration is canonicalized first (defaults applied), so two
-// Configs with equal Keys marshal identically; the conversion then
-// decodes its own output and verifies the re-derived memo key matches —
-// the loud failure that catches a new Config field the wire form does
-// not carry yet. An error here makes the point unroutable (see
-// WirePayload), never silently lossy.
-func (c Config) Wire() (WireConfig, error) {
-	cc, err := c.Canonical()
-	if err != nil {
-		return WireConfig{}, fmt.Errorf("sim: invalid config: %w", err)
-	}
+// KeyTag prefixes every point key and names the identity scheme: a
+// key is KeyTag followed by the hex SHA-256 of the point's canonical
+// wire bytes (MarshalWire). Changing how keys are derived changes the
+// tag, so persisted identities from another scheme (store logs,
+// calibration anchors) are recognizably foreign instead of silently
+// missing.
+const KeyTag = "wire1:"
+
+// keyOf derives the point key from canonical wire bytes.
+func keyOf(wire []byte) string {
+	sum := sha256.Sum256(wire)
+	var buf [len(KeyTag) + 2*sha256.Size]byte
+	copy(buf[:], KeyTag)
+	hex.Encode(buf[len(KeyTag):], sum[:])
+	return string(buf[:])
+}
+
+// wireOf builds the wire form of a canonical configuration.
+func (cc Config) wireOf() (WireConfig, error) {
 	core, ok := coreWireName(cc.CoreType)
 	if !ok {
 		return WireConfig{}, fmt.Errorf("sim: core type %v has no wire name", cc.CoreType)
 	}
-	w := WireConfig{
+	return WireConfig{
 		Version:          WireVersion,
 		Kind:             "sim",
 		Workload:         cc.Workload.Wire(),
@@ -149,30 +161,16 @@ func (c Config) Wire() (WireConfig, error) {
 		MeasureCycles:    cc.MeasureCycles,
 		Seed:             cc.Seed,
 		DisableSWScaling: cc.DisableSWScaling,
-	}
-	dec, err := w.simConfig()
-	if err != nil {
-		return WireConfig{}, fmt.Errorf("sim: wire round-trip: %w", err)
-	}
-	if dec.Key() != c.Key() {
-		return WireConfig{}, fmt.Errorf("sim: wire round-trip changes the memo key for %s — a Config field is not carried by WireConfig", c.Key())
-	}
-	return w, nil
+	}, nil
 }
 
-// Wire converts the structural configuration to its canonical wire
-// form, with the same canonicalization and round-trip key enforcement
-// as Config.Wire.
-func (c StructuralConfig) Wire() (WireConfig, error) {
-	cc, err := c.Canonical()
-	if err != nil {
-		return WireConfig{}, fmt.Errorf("sim: invalid structural config: %w", err)
-	}
+// wireOf builds the wire form of a canonical structural configuration.
+func (cc StructuralConfig) wireOf() (WireConfig, error) {
 	core, ok := coreWireName(cc.CoreType)
 	if !ok {
 		return WireConfig{}, fmt.Errorf("sim: core type %v has no wire name", cc.CoreType)
 	}
-	w := WireConfig{
+	return WireConfig{
 		Version:       WireVersion,
 		Kind:          "structural",
 		Workload:      cc.Workload.Wire(),
@@ -185,44 +183,139 @@ func (c StructuralConfig) Wire() (WireConfig, error) {
 		MeasureCycles: cc.MeasureCycles,
 		Seed:          cc.Seed,
 		L1MSHRs:       cc.L1MSHRs,
+	}, nil
+}
+
+// simulatorConfig is what the identity helpers below need of Config
+// and StructuralConfig.
+type simulatorConfig[C any] interface {
+	Canonical() (C, error)
+	wireOf() (WireConfig, error)
+}
+
+// canonicalWire canonicalizes a configuration and encodes its wire
+// form: the bytes MarshalWire returns and Key hashes.
+func canonicalWire[C simulatorConfig[C]](c C) (C, []byte, error) {
+	cc, err := c.Canonical()
+	if err != nil {
+		return c, nil, err
 	}
-	dec, err := w.structuralConfig()
+	w, err := cc.wireOf()
+	if err != nil {
+		return c, nil, err
+	}
+	data, err := json.Marshal(w)
+	return cc, data, err
+}
+
+func canonicalKey[C simulatorConfig[C]](c C) (C, string, error) {
+	cc, data, err := canonicalWire(c)
+	if err != nil {
+		return c, "", err
+	}
+	return cc, keyOf(data), nil
+}
+
+// checkedWire is Wire for either configuration type; decode is the
+// wire form's decoder back to that type.
+func checkedWire[C simulatorConfig[C]](c C, decode func(WireConfig) (C, error)) (WireConfig, error) {
+	cc, err := c.Canonical()
+	if err != nil {
+		return WireConfig{}, fmt.Errorf("sim: invalid config: %w", err)
+	}
+	w, err := cc.wireOf()
+	if err != nil {
+		return WireConfig{}, err
+	}
+	dec, err := decode(w)
 	if err != nil {
 		return WireConfig{}, fmt.Errorf("sim: wire round-trip: %w", err)
 	}
-	if dec.Key() != c.Key() {
-		return WireConfig{}, fmt.Errorf("sim: wire round-trip changes the memo key for %s — a StructuralConfig field is not carried by WireConfig", c.Key())
+	if dc, err := dec.Canonical(); err != nil || !reflect.DeepEqual(dc, cc) {
+		return WireConfig{}, fmt.Errorf("sim: wire round-trip changes the %T — a field is not carried by WireConfig", c)
 	}
 	return w, nil
 }
 
-// MarshalWire encodes the configuration's canonical wire form as JSON.
+// Wire converts the configuration to its canonical wire form. The
+// configuration is canonicalized first (defaults applied), so two
+// Configs with equal Keys marshal identically; the conversion then
+// decodes its own output and requires the decoded canonical
+// configuration to equal the canonical input — the loud failure that
+// catches a new Config field the wire form does not carry yet (which
+// would otherwise share a key with, and be served the result of, the
+// configuration without it). An error here makes the point unroutable
+// (see WirePayload), never silently lossy.
+func (c Config) Wire() (WireConfig, error) { return checkedWire(c, WireConfig.simConfig) }
+
+// Wire converts the structural configuration to its canonical wire
+// form, with the same canonicalization and round-trip enforcement as
+// Config.Wire.
+func (c StructuralConfig) Wire() (WireConfig, error) {
+	return checkedWire(c, WireConfig.structuralConfig)
+}
+
+// MarshalWire encodes the configuration's canonical wire form as JSON:
+// the bytes a cluster coordinator ships and the bytes Key hashes.
 func (c Config) MarshalWire() ([]byte, error) {
-	w, err := c.Wire()
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(w)
+	_, data, err := canonicalWire(c)
+	return data, err
 }
 
 // MarshalWire encodes the structural configuration's canonical wire
 // form as JSON.
 func (c StructuralConfig) MarshalWire() ([]byte, error) {
-	w, err := c.Wire()
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(w)
+	_, data, err := canonicalWire(c)
+	return data, err
 }
 
-// UnmarshalWire decodes one wire-form configuration. The version is
-// checked before anything else — an unknown wire_version returns a
+// CanonicalKey returns the defaults-applied configuration and its key
+// in one pass — what a caller that needs both (the tiered evaluator)
+// uses so each point is canonicalized and hashed once. It errors for
+// invalid configurations and for ones the wire form cannot encode.
+func (c Config) CanonicalKey() (Config, string, error) { return canonicalKey(c) }
+
+// CanonicalKey is Config.CanonicalKey for the structural simulator.
+func (c StructuralConfig) CanonicalKey() (StructuralConfig, string, error) {
+	return canonicalKey(c)
+}
+
+// Key is the point's identity — the memo, store, and rendezvous key:
+// KeyTag plus the SHA-256 of its canonical wire bytes. Two Configs
+// that differ only in fields the simulator defaults identically (an
+// explicit Seed 1 against a zero Seed) share a key, and the key
+// depends on neither Go field names nor enum values. An invalid
+// configuration has the empty key, which experiment engines run
+// unmemoized (running it reports the validation error).
+func (c Config) Key() string {
+	_, key, _ := canonicalKey(c)
+	return key
+}
+
+// Key is the structural point's identity; see Config.Key. The
+// simulator kind is part of the hashed wire bytes, so a structural
+// point never shares a key with a statistical one.
+func (c StructuralConfig) Key() string {
+	_, key, _ := canonicalKey(c)
+	return key
+}
+
+// UnmarshalWire decodes one wire-form configuration strictly (unknown
+// fields rejected). A document that fails the strict decode, or
+// carries another wire_version, is probed for its version before the
+// failure is reported — an unknown wire_version returns a
 // *WireVersionError even if the rest of the document has fields this
-// process has never heard of — and only then is the body decoded
-// strictly (unknown fields rejected). The returned WireConfig is
-// syntactically decoded but not yet validated; Decode materializes and
-// validates the configuration.
+// process has never heard of. The returned WireConfig is syntactically
+// decoded but not yet validated; Decode materializes and validates the
+// configuration.
 func UnmarshalWire(data []byte) (WireConfig, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var w WireConfig
+	derr := dec.Decode(&w)
+	if derr == nil && w.Version == WireVersion {
+		return w, nil
+	}
 	var v struct {
 		Version *int `json:"wire_version"`
 	}
@@ -235,13 +328,7 @@ func UnmarshalWire(data []byte) (WireConfig, error) {
 	if *v.Version != WireVersion {
 		return WireConfig{}, &WireVersionError{Version: *v.Version}
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var w WireConfig
-	if err := dec.Decode(&w); err != nil {
-		return WireConfig{}, fmt.Errorf("sim: bad wire config: %w", err)
-	}
-	return w, nil
+	return WireConfig{}, fmt.Errorf("sim: bad wire config: %w", derr)
 }
 
 // Decode materializes the configuration the wire form describes — a
@@ -321,10 +408,10 @@ func (w WireConfig) structuralConfig() (StructuralConfig, error) {
 	return c, nil
 }
 
-// WirePayload returns the route payload engine points attach to this
-// configuration: its wire form, or an Unroutable marker when conversion
-// fails, so the failure is counted at the coordinator instead of
-// vanishing into a nil payload.
+// WirePayload returns the route payload of this configuration's engine
+// point — built only when the engine routes a memo miss: its wire form,
+// or an Unroutable marker when conversion fails, so the failure is
+// counted at the coordinator instead of vanishing into a nil payload.
 func (c Config) WirePayload() any {
 	w, err := c.Wire()
 	if err != nil {

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"scaleout/internal/noc"
@@ -107,7 +108,7 @@ func randStructural(rng *rand.Rand, base Config) StructuralConfig {
 // randomized configurations across every noc kind — perturbed
 // WireDelta/Concentration/ExpressLinks/TileEdge/LinkBits and mutated
 // non-suite workloads — UnmarshalWire(MarshalWire(c)) must re-derive
-// exactly c's memo key. This is the invariant that keeps cluster output
+// exactly c's memo key, and Wire's lossless round-trip guard must hold. This is the invariant that keeps cluster output
 // byte-identical to single-node output for every representable point.
 func TestWireRoundTripRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -136,6 +137,9 @@ func TestWireRoundTripRandomized(t *testing.T) {
 			if got.Key() != cfg.Key() {
 				t.Fatalf("sample %d: round-trip key mismatch:\n got %s\nwant %s", i, got.Key(), cfg.Key())
 			}
+			if _, err := cfg.Wire(); err != nil {
+				t.Fatalf("sample %d: Wire round-trip guard: %v", i, err)
+			}
 		} else {
 			cfg := randStructural(rng, base)
 			data, err := cfg.MarshalWire()
@@ -157,6 +161,9 @@ func TestWireRoundTripRandomized(t *testing.T) {
 			if got.Key() != cfg.Key() {
 				t.Fatalf("sample %d: structural round-trip key mismatch:\n got %s\nwant %s", i, got.Key(), cfg.Key())
 			}
+			if _, err := cfg.Wire(); err != nil {
+				t.Fatalf("sample %d: structural Wire round-trip guard: %v", i, err)
+			}
 		}
 	}
 }
@@ -173,6 +180,11 @@ func TestWireVersionRejected(t *testing.T) {
 	}
 	if _, err := UnmarshalWire([]byte(`{"kind": "sim"}`)); err == nil {
 		t.Fatal("UnmarshalWire accepted a config without wire_version")
+	}
+	// At the supported version, the strict decode's own error stands.
+	_, err = UnmarshalWire([]byte(`{"wire_version": 1, "field_from_the_future": true}`))
+	if err == nil || errors.As(err, &ve) || !strings.Contains(err.Error(), "field_from_the_future") {
+		t.Fatalf("UnmarshalWire(unknown field) = %v, want a strict-decode error naming the field", err)
 	}
 }
 

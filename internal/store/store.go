@@ -1,7 +1,8 @@
 // Package store persists simulator results across processes: a
 // crash-safe, append-only, content-addressed log keyed by the same
-// canonical configuration fingerprints the experiment engine memoizes
-// under (sim.Config.Key, sim.StructuralConfig.Key), so every soproc
+// point keys the experiment engine memoizes under (sim.Config.Key,
+// sim.StructuralConfig.Key: a versioned SHA-256 of the canonical wire
+// bytes), so every soproc
 // invocation, soprocd restart, and cluster-replica crash recovery is a
 // warm start instead of a recomputation.
 //
@@ -19,7 +20,7 @@
 //
 // One file, results.log, in the store directory:
 //
-//	header:  8 bytes, "SOSTORE1" (magic + format version)
+//	header:  8 bytes, "SOSTORE2" (magic + format version)
 //	record:  uint32 LE payload length
 //	         uint32 LE CRC32-IEEE of the payload
 //	         payload = kind byte | uint32 LE key length | key | value JSON
@@ -54,7 +55,12 @@ import (
 
 // magic is the log header: format name plus version. A file that does
 // not begin with it is not a result log, and Open refuses to touch it.
-const magic = "SOSTORE1"
+// Version 2 logs are keyed by wire-hash point keys (sim.KeyTag).
+const magic = "SOSTORE2"
+
+// magicV1 heads a log keyed by the retired Go-syntax identity; none of
+// its keys can match a current point, so Open refuses it by name.
+const magicV1 = "SOSTORE1"
 
 // LogName is the log's file name inside the store directory.
 const LogName = "results.log"
@@ -63,9 +69,9 @@ const LogName = "results.log"
 // git-ignored at the repository root.
 const DefaultDir = ".sostore"
 
-// maxRecord bounds one record's payload. Real records are a few KB (a
-// canonical fingerprint plus a result's JSON); a length field beyond
-// this is framing corruption, not a record.
+// maxRecord bounds one record's payload. Real records are a few hundred
+// bytes (a point key plus a result's JSON); a length field beyond this
+// is framing corruption, not a record.
 const maxRecord = 16 << 20
 
 // Result kinds, the first payload byte of every record. The store
@@ -145,6 +151,9 @@ func (s *Store) replay() error {
 		}
 		s.size = int64(len(magic))
 		return nil
+	}
+	if len(buf) >= len(magicV1) && string(buf[:len(magicV1)]) == magicV1 {
+		return fmt.Errorf("store: %s is a %s log keyed by a retired point identity (keys are now %q wire hashes); delete the store directory and rebuild it", s.path, magicV1, sim.KeyTag)
 	}
 	if len(buf) < len(magic) || string(buf[:len(magic)]) != magic {
 		return fmt.Errorf("store: %s is not a result log (bad header)", s.path)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -342,5 +343,35 @@ func TestOpenRejectsForeignFile(t *testing.T) {
 	}
 	if _, err := Open(dir); err == nil {
 		t.Fatal("Open accepted a file without the log header")
+	}
+}
+
+// TestOpenRejectsV1Log: a log written under the retired Go-syntax
+// identity is refused by name with the migration instruction — never
+// replayed, since none of its keys can match a current point — and a
+// fresh log is written with the SOSTORE2 header.
+func TestOpenRejectsV1Log(t *testing.T) {
+	dir := t.TempDir()
+	v1 := append([]byte(magicV1), encodeRecord(kindSim, `sim:sim.Config{Cores:16}`, []byte(`{}`))...)
+	if err := os.WriteFile(filepath.Join(dir, LogName), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(dir)
+	if err == nil || !strings.Contains(err.Error(), "rebuild") || !strings.Contains(err.Error(), magicV1) {
+		t.Fatalf("Open(SOSTORE1 log) = %v, want a rebuild error naming %s", err, magicV1)
+	}
+
+	fresh := t.TempDir()
+	s := open(t, fresh)
+	s.Save(sim.KeyTag+"00", simVal(1))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := os.ReadFile(filepath.Join(fresh, LogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(buf[:len(magic)]) != "SOSTORE2" {
+		t.Fatalf("log header = %q, want SOSTORE2", buf[:len(magic)])
 	}
 }

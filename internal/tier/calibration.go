@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	"scaleout/internal/noc"
 	"scaleout/internal/sim"
@@ -14,7 +15,7 @@ import (
 // Calibration is what cmd/calibrate emits (calibration.json) and the
 // tiered evaluator loads: a per-region error table that sizes the
 // escalation bands, plus the anchor store — genuine simulator results,
-// keyed by the same canonical fingerprints the experiment engine
+// keyed by the same point keys (sim.Config.Key) the experiment engine
 // memoizes under, that exact-tier evaluation serves without
 // re-simulating. Anchors round-trip through JSON exactly (Go prints
 // float64 in the shortest form that re-parses to the same value), so an
@@ -57,7 +58,7 @@ type Region struct {
 
 // SimAnchor is one memoized statistical-simulator result.
 type SimAnchor struct {
-	// Key is the configuration's canonical memo fingerprint (sim.Config.Key).
+	// Key is the configuration's point key (sim.Config.Key).
 	Key string `json:"key"`
 	// Result is the simulator's measurement for that configuration.
 	Result sim.Result `json:"result"`
@@ -65,7 +66,7 @@ type SimAnchor struct {
 
 // StructuralAnchor is one memoized structural-simulator result.
 type StructuralAnchor struct {
-	// Key is the canonical fingerprint (sim.StructuralConfig.Key).
+	// Key is the configuration's point key (sim.StructuralConfig.Key).
 	Key string `json:"key"`
 	// Result is the structural simulator's measurement.
 	Result sim.StructuralResult `json:"result"`
@@ -167,7 +168,11 @@ func (c *Calibration) Save(path string) error {
 	return os.WriteFile(path, out, 0o644)
 }
 
-// Load reads a calibration written by Save (cmd/calibrate -out).
+// Load reads a calibration written by Save (cmd/calibrate -out). A
+// file whose anchors are keyed under another point-identity scheme
+// (keys without the current sim.KeyTag) is refused: its anchors could
+// never match a point, so exact mode would silently simulate
+// everything.
 func Load(path string) (*Calibration, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -176,6 +181,22 @@ func Load(path string) (*Calibration, error) {
 	var c Calibration
 	if err := json.Unmarshal(data, &c); err != nil {
 		return nil, fmt.Errorf("tier: parse %s: %w", path, err)
+	}
+	stale := func(key string) error {
+		if strings.HasPrefix(key, sim.KeyTag) {
+			return nil
+		}
+		return fmt.Errorf("tier: %s: anchor keys predate the current point identity (want the %q tag); rerun cmd/calibrate to rebuild it", path, sim.KeyTag)
+	}
+	for _, a := range c.SimAnchors {
+		if err := stale(a.Key); err != nil {
+			return nil, err
+		}
+	}
+	for _, a := range c.StructuralAnchors {
+		if err := stale(a.Key); err != nil {
+			return nil, err
+		}
 	}
 	c.normalize()
 	return &c, nil

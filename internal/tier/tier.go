@@ -8,7 +8,7 @@
 // (analytic.Surrogate). What happens next depends on the tier mode:
 //
 //   - Exact (the default): every returned value is a genuine simulator
-//     result. Points whose canonical fingerprint matches a calibration
+//     result. Points whose key (sim.Config.Key) matches a calibration
 //     anchor are served from the anchor store (simulator results
 //     recorded by cmd/calibrate; JSON round-trips float64 exactly, so
 //     anchor-served figures are byte-identical to fresh simulation);
@@ -318,12 +318,11 @@ func (ev *Evaluator) SimsDecided(ctx context.Context, cfgs []sim.Config, d Decis
 	keys := make([]string, n)
 	ccs := make([]sim.Config, n)
 	for i, c := range cfgs {
-		cc, err := c.Canonical()
+		cc, key, err := c.CanonicalKey()
 		if err != nil {
 			return nil, nil, err
 		}
-		ccs[i] = cc
-		keys[i] = c.Key()
+		ccs[i], keys[i] = cc, key
 	}
 	ev.scored.Add(int64(n))
 	mode := modeFrom(ctx, ev.mode)
@@ -374,7 +373,7 @@ func (ev *Evaluator) SimsDecided(ctx context.Context, cfgs []sim.Config, d Decis
 		eng := exp.FromContext(ctx)
 		pts := make([]exp.Point[sim.Result], len(escalate))
 		for k, i := range escalate {
-			pts[k] = exp.SimPoint{Config: cfgs[i]}
+			pts[k] = exp.SimPoint{Config: cfgs[i], K: keys[i]}
 		}
 		res, err := exp.Points(ctx, eng, pts)
 		if err != nil {
@@ -398,12 +397,11 @@ func (ev *Evaluator) StructuralsDecided(ctx context.Context, cfgs []sim.Structur
 	keys := make([]string, n)
 	ccs := make([]sim.StructuralConfig, n)
 	for i, c := range cfgs {
-		cc, err := c.Canonical()
+		cc, key, err := c.CanonicalKey()
 		if err != nil {
 			return nil, nil, err
 		}
-		ccs[i] = cc
-		keys[i] = c.Key()
+		ccs[i], keys[i] = cc, key
 	}
 	ev.scored.Add(int64(n))
 	mode := modeFrom(ctx, ev.mode)
@@ -465,7 +463,7 @@ func boundarySet(d Decision, scores, bands []float64) []bool {
 
 // runStructurals computes the escalated structural points. With a live
 // cluster router the points go through the routable per-point path, so
-// a coordinator ships them to the replicas owning their fingerprints —
+// a coordinator ships them to the replicas owning their keys —
 // surrogate-answered and anchor-served points never left this process.
 // Locally they batch by machine shape, after a memo peek, and the
 // results seed the memo for later non-tiered callers.
@@ -477,7 +475,7 @@ func (ev *Evaluator) runStructurals(ctx context.Context, cfgs []sim.StructuralCo
 	if eng.HasRoute() && !engine.RoutingDisabled(ctx) {
 		pts := make([]exp.Point[sim.StructuralResult], len(escalate))
 		for k, i := range escalate {
-			pts[k] = exp.StructuralPoint{Config: cfgs[i]}
+			pts[k] = exp.StructuralPoint{Config: cfgs[i], K: keys[i]}
 		}
 		res, err := exp.Points(ctx, eng, pts)
 		if err != nil {
@@ -490,7 +488,7 @@ func (ev *Evaluator) runStructurals(ctx context.Context, cfgs []sim.StructuralCo
 	}
 
 	// Local path: serve what the engine already holds, dedup the rest
-	// by fingerprint, and run one shape-batched pass.
+	// by key, and run one shape-batched pass.
 	var miss []int
 	first := map[string]int{} // key -> index into miss batch
 	var batch []sim.StructuralConfig

@@ -5,6 +5,7 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"scaleout/internal/exp"
@@ -336,5 +337,20 @@ func TestCalibrationRoundTrip(t *testing.T) {
 	}
 	if st := ev.Stats(); st.AnchorHits != 1 {
 		t.Errorf("anchor hit not counted: %+v", st)
+	}
+}
+
+// A calibration whose anchors were keyed under an earlier identity
+// scheme is refused with a pointer to the fix, instead of loading
+// anchors no point could ever match.
+func TestLoadRejectsStaleAnchorKeys(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cal.json")
+	stale := &Calibration{StructuralAnchors: []StructuralAnchor{{Key: "structural:sim.StructuralConfig{Cores:16}"}}}
+	if err := stale.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Load(path)
+	if err == nil || !strings.Contains(err.Error(), "rerun cmd/calibrate") {
+		t.Fatalf("Load(stale anchors) = %v, want an error naming cmd/calibrate", err)
 	}
 }
