@@ -1,12 +1,20 @@
 package figures
 
 import (
+	"os"
 	"strconv"
+	"strings"
 	"testing"
 )
 
 // RunAll must regenerate the entire harness without error — the same
-// path `soproc -all` takes.
+// path `soproc -all` takes — and reproduce the committed golden output
+// byte for byte in both formats. The golden files are `soproc -all`
+// and `soproc -all -format csv` stdout; regenerate them only for a
+// deliberate model change, and say why in CHANGES.md:
+//
+//	go run ./cmd/soproc -all > internal/figures/testdata/all.txt
+//	go run ./cmd/soproc -all -format csv > internal/figures/testdata/all.csv
 func TestRunAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full harness regeneration is slow")
@@ -18,6 +26,7 @@ func TestRunAll(t *testing.T) {
 	if len(tables) != len(IDs()) {
 		t.Fatalf("RunAll returned %d tables for %d experiments", len(tables), len(IDs()))
 	}
+	var table, csv strings.Builder
 	for _, tab := range tables {
 		if len(tab.Rows) == 0 {
 			t.Errorf("%s: empty", tab.ID)
@@ -25,7 +34,31 @@ func TestRunAll(t *testing.T) {
 		if tab.String() == "" {
 			t.Errorf("%s: renders empty", tab.ID)
 		}
+		table.WriteString(tab.String() + "\n")
+		csv.WriteString(tab.CSV() + "\n")
 	}
+	checkGolden(t, "testdata/all.txt", table.String())
+	checkGolden(t, "testdata/all.csv", csv.String())
+}
+
+// checkGolden fails the test unless got equals the golden file,
+// naming the first differing line.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	g, w := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := range min(len(g), len(w)) {
+		if g[i] != w[i] {
+			t.Fatalf("%s: line %d differs:\n got %q\nwant %q", path, i+1, g[i], w[i])
+		}
+	}
+	t.Fatalf("%s: %d lines, golden has %d", path, len(g), len(w))
 }
 
 // ablate.pods: the mid-size pods beat the tiny-pod endpoint and the
