@@ -34,6 +34,30 @@
 //   - Randomness is per-core (counter RNGs), so per-core draw order is
 //     untouched by scheduling.
 //
+// The statistical machine goes further and runs each core ahead
+// through its private cycles. Only about APKI/1000 of a core's issue
+// slots reach the LLC; a cycle whose slots all draw no access only
+// spends the core's own issue credit and RNG draws. Its MLP retirement
+// can wait too: retiring is a filter on completion cycles, so one
+// retire at the next access cycle leaves the same window as one per
+// cycle. So one stepActive call runs the core's issue loop on from the
+// current cycle until it draws an access in a later cycle, and parks
+// there: slot index and draw saved, blockedUntil set to the access
+// cycle. The wheel wakes the core at that cycle, in (cycle, core)
+// order with every other core touching shared state then, and the
+// core performs the access and finishes the cycle's remaining slots.
+// This is exact for three reasons:
+//
+//   - Each core's draws happen in the same order as before. Only when
+//     they happen moves, and no other core reads that stream.
+//   - Banks, channels, the directory and the access counters are
+//     touched only at access cycles, from the wheel, as before. The
+//     instruction counter is a sum, so adding a private cycle's
+//     instructions early changes nothing.
+//   - Run-ahead stops at the window end (aheadEnd, set by runEvent).
+//     So no warm-up cycle is counted as measured, and no cycle past
+//     the measured window is simulated.
+//
 // runLockstep keeps the seed loop as the behavioural reference; the
 // golden tests in kernel_test.go assert byte-identical results across
 // core counts, core types, NoC kinds, and both simulators, and
@@ -63,7 +87,9 @@ type coreModel interface {
 	// kernel's current time. The kernel calls it only at cycles where
 	// the lock-step loop would have gotten past the stall-debt and
 	// blocked-until checks, so implementations start directly at
-	// retirement and the issue loop.
+	// retirement and the issue loop. A model may also run the core's
+	// private cycles ahead, up to aheadEnd, provided it leaves
+	// blockedUntil at the next cycle the core needs the kernel.
 	stepActive(i int)
 }
 
@@ -216,6 +242,12 @@ type kernel struct {
 	model  coreModel
 	states []*coreState // model.core(i) for every core, devirtualized
 
+	// aheadEnd bounds a model's run-ahead: no core may issue in a cycle
+	// at or past it. runEvent sets it to its window's end and clears it
+	// on return, so under the lock-step loop it is zero and every step
+	// covers exactly one cycle.
+	aheadEnd int64
+
 	// measured stats
 	instructions  uint64
 	llcAccesses   uint64
@@ -304,6 +336,7 @@ func (k *kernel) run(cycles int) { runEvent(k, k.model, cycles) }
 // tests).
 func runEvent[M coreModel](k *kernel, model M, cycles int) {
 	end := k.now + int64(cycles)
+	k.aheadEnd = end
 	w := &k.sched
 	for t := k.now; t < end; t++ {
 		bucket := w.bucket(t)
@@ -333,6 +366,7 @@ func runEvent[M coreModel](k *kernel, model M, cycles int) {
 		}
 	}
 	k.now = end
+	k.aheadEnd = 0
 }
 
 // runLockstepOn advances the machine with the seed kernel's cycle loop —

@@ -246,9 +246,16 @@ func RunSampledContext(ctx context.Context, cfg Config, n int) ([]Result, *stats
 // whose memory behaviour is drawn from the calibrated workload curves.
 type machine struct {
 	kernel
-	cores []coreState
+	cores []statCore
 }
 
+// statCore is a statistical core: the kernel's scheduling state plus
+// the LLC access it is parked on after running ahead (see stepActive).
+type statCore struct {
+	coreState
+	parkedSlot int     // issue slot of the parked access; -1 when not parked
+	parkedU    float64 // that slot's draw, below pAccess
+}
 // cfgDerived caches per-run constants derived from the Config.
 type cfgDerived struct {
 	Config
@@ -327,70 +334,136 @@ func newMachine(cfg Config) (*machine, error) {
 	}
 	m := &machine{
 		kernel: k,
-		cores:  make([]coreState, cfg.Cores),
+		cores:  make([]statCore, cfg.Cores),
 	}
 	for i := range m.cores {
-		m.cores[i] = newCoreState(cfg.Seed, i, m.cfg.slots)
+		m.cores[i] = statCore{coreState: newCoreState(cfg.Seed, i, m.cfg.slots), parkedSlot: -1}
 	}
 	m.attach(m)
 	return m, nil
 }
 
 // core returns core i's scheduling state to the kernel.
-func (m *machine) core(i int) *coreState { return &m.cores[i] }
+func (m *machine) core(i int) *coreState { return &m.cores[i].coreState }
 
-// stepActive advances core i through one active cycle: retirement, then
-// the issue loop. The kernel has already drained stall debt and waited
-// out front-end or blocking-load stalls.
+// stepActive advances core i from the kernel's current cycle: it
+// retires completed loads and runs the issue loop, drawing one uniform
+// per issue slot. A draw below pAccess is an LLC access; every other
+// slot only spends issue credit. Cycles without an access touch nothing
+// but the core's own credit and RNG, so the loop runs on through them
+// instead of returning to the kernel: after the current cycle it moves
+// to the core's next active cycle (draining stall debt as nextWake
+// does) and keeps issuing, up to the kernel's run-ahead bound. The
+// first access it draws in a later cycle parks the core — slot and
+// draw saved, blockedUntil set to that cycle — and the kernel wakes it
+// there to perform the access at its true time, in (cycle, core)
+// order, before finishing the cycle's remaining slots. Accesses in the
+// current cycle run inline. Under the lock-step loop the bound is zero,
+// so each call steps exactly one cycle.
 func (m *machine) stepActive(i int) {
 	c := &m.cores[i]
-	// Retire completed off-chip loads to free MLP slots.
-	c.retireSlots(m.now)
+	now := m.now
+	c.retireSlots(now)
 
 	// Issue budget and instruction count commit once per step; see the
 	// structural stepActive for the rationale.
-	credit := c.credit + m.cfg.baseIPC
-	issued := uint64(0)
-	for n := 0; credit >= 1 && n < m.cfg.width; n++ {
-		credit--
-		issued++
-		u := c.rng.Float64()
-		switch {
-		case u < m.cfg.pInstr:
-			// Instruction fetch from the LLC: the front end stalls for
-			// the full access latency.
-			c.blockedUntil = m.access(c, true)
-			goto commit
-		case u < m.cfg.pAccess:
-			isWrite := false
-			shared := c.rng.Float64() < m.cfg.Workload.SharedFrac
-			if shared {
-				isWrite = c.rng.Float64() < m.cfg.Workload.SharedWriteFrac
+	credit, issued, n := c.credit, uint64(0), 0
+	if c.parkedSlot >= 0 {
+		// Resume the access drawn while running ahead into this cycle:
+		// the cycle's budget and its earlier slots are already spent.
+		n = c.parkedSlot + 1
+		c.parkedSlot = -1
+		if m.issueAccess(i, c, c.parkedU) {
+			n = m.cfg.width // the access ends the core's cycle
+		}
+	} else {
+		credit += m.cfg.baseIPC
+	}
+	// The draw loop keeps the stream and the per-run constants in
+	// registers; c.rng is current again before every access.
+	rng, width, pAccess, base, end := c.rng, m.cfg.width, m.cfg.pAccess, m.cfg.baseIPC, m.aheadEnd
+	for t := now; ; {
+		for ; credit >= 1 && n < width; n++ {
+			credit--
+			issued++
+			u := rng.Float64()
+			if u >= pAccess {
+				continue
 			}
-			done := m.dataAccess(i, c, shared, isWrite)
-			if m.cfg.CoreType == tech.InOrder {
-				c.blockedUntil = done
+			if t > now {
+				c.parkedSlot, c.parkedU, c.blockedUntil = n, u, t
 				goto commit
 			}
-			lat := done - m.now
-			if m.isMissLatency(lat) {
-				// Off-chip load: occupy an MLP slot; block when the
-				// window is exhausted.
-				if len(c.slotDone) >= m.cfg.slots {
-					c.blockedUntil = c.slotMin
-					goto commit
-				}
-				c.addSlot(done)
-			} else {
-				// LLC hit: the out-of-order window hides part of the
-				// latency; the exposed fraction accrues as stall debt.
-				c.stallDebt += m.cfg.overlap * float64(lat)
+			c.rng = rng
+			stalled := m.issueAccess(i, c, u)
+			rng = c.rng
+			if stalled {
+				break
 			}
 		}
+		// Cycle t is done; advance to the core's next active cycle.
+		switch {
+		case now+1 >= end:
+			// Lock-step reference or the window's last cycle: the
+			// kernel schedules the next cycle itself.
+			goto commit
+		case t == now:
+			t = c.nextWake(now)
+		default:
+			t++ // an access-free cycle leaves no debt and no block
+		}
+		if t >= end {
+			// Never run past the window: the kernel wakes the core at
+			// t, so a warm-up cycle is never counted as measured.
+			c.blockedUntil = t
+			goto commit
+		}
+		credit += base
+		n = 0
 	}
 commit:
+	c.rng = rng
 	c.credit = credit
 	m.instructions += issued
+}
+
+// issueAccess performs the LLC access an issue slot drew (u < pAccess)
+// at the current cycle and reports whether it ends the core's cycle:
+// an instruction fetch stalls the front end, an in-order core blocks
+// on every load, and an out-of-order core blocks when its MLP window is
+// exhausted.
+func (m *machine) issueAccess(i int, c *statCore, u float64) bool {
+	if u < m.cfg.pInstr {
+		// Instruction fetch from the LLC: the front end stalls for the
+		// full access latency.
+		c.blockedUntil = m.access(&c.coreState, true)
+		return true
+	}
+	isWrite := false
+	shared := c.rng.Float64() < m.cfg.Workload.SharedFrac
+	if shared {
+		isWrite = c.rng.Float64() < m.cfg.Workload.SharedWriteFrac
+	}
+	done := m.dataAccess(i, &c.coreState, shared, isWrite)
+	if m.cfg.CoreType == tech.InOrder {
+		c.blockedUntil = done
+		return true
+	}
+	lat := done - m.now
+	if m.isMissLatency(lat) {
+		// Off-chip load: occupy an MLP slot; block when the window is
+		// exhausted.
+		if len(c.slotDone) >= m.cfg.slots {
+			c.blockedUntil = c.slotMin
+			return true
+		}
+		c.addSlot(done)
+	} else {
+		// LLC hit: the out-of-order window hides part of the latency;
+		// the exposed fraction accrues as stall debt.
+		c.stallDebt += m.cfg.overlap * float64(lat)
+	}
+	return false
 }
 
 // dataAccess performs a data access, consulting the directory for shared
