@@ -112,8 +112,6 @@ func bench64CorePod(b *testing.B, run func(sim.Config) (sim.Result, error)) {
 	}
 }
 
-func BenchmarkSimulator64CorePod(b *testing.B) { bench64CorePod(b, sim.Run) }
-
 // Kernel trajectory: the event-scheduled kernel vs the lock-step
 // reference. The Event/Lockstep ratio is the kernel speedup recorded in
 // BENCH_kernel.json (`soproc -bench`); both produce byte-identical

@@ -7,6 +7,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"time"
 
 	"scaleout/internal/analytic"
@@ -27,9 +28,11 @@ import (
 // seeds the repo's performance trajectory: CI runs a one-iteration
 // smoke of the same harness, and EXPERIMENTS.md quotes its numbers.
 
-// benchPoint is one measured configuration. The tiered points
-// (tiered16/32/64, runall_tiered) reuse the two timing columns as
-// tiered-vs-untiered: EventNs is the tiered evaluation, LockstepNs the
+// benchPoint is one measured configuration. For the kernel points —
+// the simulator and structural points and runall — EventNs and
+// LockstepNs are each kernel's median over interleaved runs (see
+// timeKernels). The tiered points (tiered16/32/64, runall_tiered)
+// reuse the two timing columns as tiered-vs-untiered: EventNs is the tiered evaluation, LockstepNs the
 // full simulation of the same work, Speedup their ratio; they
 // additionally record the analytic surrogate's scoring cost and the
 // fraction of points that escalated to the structural simulator. The
@@ -68,6 +71,36 @@ func timeRuns(iters int, f func() error) (time.Duration, error) {
 		}
 	}
 	return time.Since(start) / time.Duration(iters), nil
+}
+
+// timeKernels times f on the event and the lock-step kernel and reports
+// each kernel's median. After one unmeasured warm-up call on each, the
+// measured calls alternate kernel by kernel, so a load spike on a
+// shared host lands on both kernels' samples instead of on one
+// kernel's whole block of runs.
+func timeKernels(iters int, f func() error) (event, lockstep time.Duration, err error) {
+	defer sim.UseLockstepKernel(false)
+	samples := [2][]time.Duration{}
+	for i := -1; i < iters; i++ {
+		for k, name := range []string{"event", "lockstep"} {
+			sim.UseLockstepKernel(k == 1)
+			start := time.Now()
+			if err := f(); err != nil {
+				return 0, 0, fmt.Errorf("(%s): %w", name, err)
+			}
+			if i >= 0 {
+				samples[k] = append(samples[k], time.Since(start))
+			}
+		}
+	}
+	return median(samples[0]), median(samples[1]), nil
+}
+
+// median returns the middle sample, or the mean of the middle two.
+func median(ds []time.Duration) time.Duration {
+	slices.Sort(ds)
+	n := len(ds)
+	return (ds[(n-1)/2] + ds[n/2]) / 2
 }
 
 // runBench measures every benchmark point on both kernels and writes
@@ -116,16 +149,9 @@ func runBench(path string, iters, workers int, cpuProfile string) error {
 		Iterations: iters,
 	}
 	measure := func(name string, f func() error) (benchPoint, error) {
-		sim.UseLockstepKernel(false)
-		event, err := timeRuns(iters, f)
+		event, lockstep, err := timeKernels(iters, f)
 		if err != nil {
-			return benchPoint{}, fmt.Errorf("%s (event): %w", name, err)
-		}
-		sim.UseLockstepKernel(true)
-		lockstep, err := timeRuns(iters, f)
-		sim.UseLockstepKernel(false)
-		if err != nil {
-			return benchPoint{}, fmt.Errorf("%s (lockstep): %w", name, err)
+			return benchPoint{}, fmt.Errorf("%s %w", name, err)
 		}
 		p := benchPoint{
 			Name:       name,

@@ -256,6 +256,7 @@ type statCore struct {
 	parkedSlot int     // issue slot of the parked access; -1 when not parked
 	parkedU    float64 // that slot's draw, below pAccess
 }
+
 // cfgDerived caches per-run constants derived from the Config.
 type cfgDerived struct {
 	Config
