@@ -32,8 +32,9 @@ import (
 // the simulator and structural points and runall — EventNs and
 // LockstepNs are each kernel's median over interleaved runs (see
 // timeKernels). The tiered points (tiered16/32/64, runall_tiered)
-// reuse the two timing columns as tiered-vs-untiered: EventNs is the tiered evaluation, LockstepNs the
-// full simulation of the same work, Speedup their ratio; they
+// reuse the two timing columns as tiered-vs-untiered: EventNs is the
+// tiered evaluation, LockstepNs the full simulation of the same work,
+// Speedup their ratio; they
 // additionally record the analytic surrogate's scoring cost and the
 // fraction of points that escalated to the structural simulator. The
 // store-warm points (runall_store_warm, structural16_store_warm) reuse
@@ -73,15 +74,21 @@ func timeRuns(iters int, f func() error) (time.Duration, error) {
 	return time.Since(start) / time.Duration(iters), nil
 }
 
+// minKernelSamples is the fewest measured runs per kernel that
+// timeKernels takes, whatever -bench-iters asks, so that a kernel
+// point's median is never a single run: CI's one-iteration smoke holds
+// these medians to speedup floors.
+const minKernelSamples = 3
+
 // timeKernels times f on the event and the lock-step kernel and reports
-// each kernel's median. After one unmeasured warm-up call on each, the
-// measured calls alternate kernel by kernel, so a load spike on a
-// shared host lands on both kernels' samples instead of on one
-// kernel's whole block of runs.
+// each kernel's median over max(iters, minKernelSamples) runs. After
+// one unmeasured warm-up call on each, the measured calls alternate
+// kernel by kernel, so a load spike on a shared host lands on both
+// kernels' samples instead of on one kernel's whole block of runs.
 func timeKernels(iters int, f func() error) (event, lockstep time.Duration, err error) {
 	defer sim.UseLockstepKernel(false)
 	samples := [2][]time.Duration{}
-	for i := -1; i < iters; i++ {
+	for i := -1; i < max(iters, minKernelSamples); i++ {
 		for k, name := range []string{"event", "lockstep"} {
 			sim.UseLockstepKernel(k == 1)
 			start := time.Now()
