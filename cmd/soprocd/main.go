@@ -128,7 +128,7 @@ func main() {
 
 	eng := exp.NewBounded(*parallel, *memoCap)
 	srv := serve.New(eng)
-	obs := srv.EnableObservability(serve.ObservabilityOptions{
+	srv.EnableObservability(serve.ObservabilityOptions{
 		TraceDecisions: *traceLevel == "decisions",
 		TraceCapacity:  *traceCap,
 	})
@@ -141,7 +141,6 @@ func main() {
 		}
 		eng.SetStore(st)
 		srv.SetStoreStats(func() any { return st.Stats() })
-		st.RegisterMetrics(obs.Registry)
 		log.Printf("soprocd: store %s: %d results re-warmed from disk", *storeDir, st.Len())
 	}
 	if *calPath != "" {
@@ -160,7 +159,6 @@ func main() {
 		}
 		eng.SetRoute(coord.Route)
 		srv.SetClusterStats(func() any { return coord.Stats() })
-		coord.RegisterMetrics(obs.Registry)
 		log.Printf("soprocd: coordinating %d replicas: %s", len(strings.Split(*peers, ",")), *peers)
 	}
 
@@ -175,7 +173,6 @@ func main() {
 		RequestTimeout: *requestTimeout,
 	})
 	srv.SetAdmitStats(func() any { return ctrl.Stats() })
-	ctrl.RegisterMetrics(obs.Registry)
 
 	// Request contexts derive from baseCtx; it stays live through the
 	// drain window so in-flight sweeps finish, then cancels the rest.

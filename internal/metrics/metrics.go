@@ -1,21 +1,22 @@
-// Package metrics is a dependency-free Prometheus exporter: counter,
-// gauge, and histogram primitives collected into a Registry and
-// rendered in the Prometheus text exposition format 0.0.4 at
-// GET /metricsz. It deliberately implements only what this repository
-// scrapes — no client library, no push gateway, no protobuf — so the
-// module keeps its zero-dependency guarantee while any off-the-shelf
-// Prometheus server can collect a soprocd replica or coordinator.
+// Package metrics is a dependency-free Prometheus exporter rendering
+// the text exposition format 0.0.4 at GET /metricsz. It deliberately
+// implements only what this repository scrapes — no client library, no
+// push gateway, no protobuf — so the module keeps its zero-dependency
+// guarantee while any off-the-shelf Prometheus server can collect a
+// soprocd replica or coordinator.
 //
-// Two collection styles coexist:
+// A page has two sources:
 //
-//   - Live instruments (Counter, Gauge, Histogram) are updated on the
-//     hot path by the instrumented code — the engine's per-point
-//     latency histogram is one.
-//   - Scrape-time collectors (CounterFunc, GaugeFunc and their labeled
-//     Vec variants) read an existing snapshot source at scrape time.
-//     Every subsystem in this repository already keeps atomic counters
-//     behind a Stats() method, so most metrics are closures over those
-//     — the hot paths gain no new writes.
+//   - Snapshot families. Every subsystem in this repository already
+//     keeps atomic counters behind a Stats() snapshot, and /statsz
+//     serializes those snapshots as JSON. Each numeric field declares
+//     its metric twin in a struct tag beside its json tag, and each
+//     scrape walks one snapshot (the tag rules are documented on walk),
+//     so a counter is declared once and the hot paths gain no new
+//     writes.
+//   - Live histograms, observed on the hot path by instrumented code
+//     and held in a Registry — the engine's per-point latency
+//     histogram is the one.
 //
 // The package also carries the decision-trace ring (DecisionLog): a
 // bounded in-memory log of per-point routing decisions exposed at
@@ -31,7 +32,6 @@ package metrics
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"sort"
@@ -67,27 +67,27 @@ type sample struct {
 	value  float64
 }
 
-// family is one named metric family and its scrape-time collector.
+// family is one named metric family with its samples for one scrape.
 type family struct {
 	name, help string
 	kind       Kind
-	collect    func(emit func(sample))
+	samples    []sample
 }
 
-// Registry holds metric families and renders them in the text
-// exposition format. The zero value is not usable; construct with
-// NewRegistry. Registration methods panic on a duplicate or invalid
-// name — a registration error is a programming error, caught by the
-// first scrape in any test — and are safe for concurrent use, as is
-// rendering.
+// Registry holds the live histograms and renders them, together with
+// a walked snapshot, in the text exposition format. The zero value is
+// not usable; construct with NewRegistry. Registration panics on a
+// duplicate or invalid name — a registration error is a programming
+// error, caught by the first scrape in any test. Registration and
+// rendering are safe for concurrent use.
 type Registry struct {
-	mu       sync.Mutex
-	families map[string]*family
+	mu    sync.Mutex
+	hists map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{families: make(map[string]*family)}
+	return &Registry{hists: make(map[string]*Histogram)}
 }
 
 // validName reports whether name is a legal Prometheus metric or label
@@ -110,50 +110,6 @@ func validName(name string) bool {
 	return true
 }
 
-// register installs a family, panicking on duplicate or invalid names.
-func (r *Registry) register(name, help string, kind Kind, collect func(emit func(sample))) {
-	if !validName(name) {
-		panic(fmt.Sprintf("metrics: invalid metric name %q", name))
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.families[name]; dup {
-		panic(fmt.Sprintf("metrics: duplicate metric name %q", name))
-	}
-	r.families[name] = &family{name: name, help: help, kind: kind, collect: collect}
-}
-
-// Counter is a live monotonically-increasing instrument. Use the
-// returned value's Inc/Add from the instrumented code path.
-type Counter struct{ bits atomic.Uint64 }
-
-// Inc adds one to the counter.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add adds delta to the counter; negative deltas are ignored (a
-// counter never decreases).
-func (c *Counter) Add(delta float64) {
-	if delta < 0 {
-		return
-	}
-	addFloat(&c.bits, delta)
-}
-
-// Value returns the current count.
-func (c *Counter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
-
-// Gauge is a live instrument for a value that can go up and down.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds delta (which may be negative) to the gauge.
-func (g *Gauge) Add(delta float64) { addFloat(&g.bits, delta) }
-
-// Value returns the gauge's current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // addFloat atomically adds delta to a float64 stored as uint64 bits.
 func addFloat(bits *atomic.Uint64, delta float64) {
 	for {
@@ -168,10 +124,11 @@ func addFloat(bits *atomic.Uint64, delta float64) {
 // Histogram is a live cumulative histogram with fixed bucket upper
 // bounds. Observe is safe for concurrent use and lock-free.
 type Histogram struct {
-	uppers []float64 // sorted upper bounds, +Inf excluded
-	counts []atomic.Uint64
-	sum    atomic.Uint64 // float64 bits
-	count  atomic.Uint64
+	name, help string
+	uppers     []float64 // sorted upper bounds, +Inf excluded
+	counts     []atomic.Uint64
+	sum        atomic.Uint64 // float64 bits
+	count      atomic.Uint64
 }
 
 // Observe records one value.
@@ -186,31 +143,30 @@ func (h *Histogram) Observe(v float64) {
 	h.count.Add(1)
 }
 
-// Count returns the number of observations so far.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Counter registers and returns a live counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{}
-	r.register(name, help, KindCounter, func(emit func(sample)) {
-		emit(sample{value: c.Value()})
-	})
-	return c
-}
-
-// Gauge registers and returns a live gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.register(name, help, KindGauge, func(emit func(sample)) {
-		emit(sample{value: g.Value()})
-	})
-	return g
+// family reads the histogram's current buckets, sum and count.
+func (h *Histogram) family() *family {
+	f := &family{name: h.name, help: h.help, kind: KindHistogram}
+	var cum uint64
+	for i, ub := range h.uppers {
+		cum += h.counts[i].Load()
+		f.samples = append(f.samples, sample{suffix: "_bucket", labels: []Label{{"le", formatValue(ub)}}, value: float64(cum)})
+	}
+	total := h.count.Load()
+	f.samples = append(f.samples,
+		sample{suffix: "_bucket", labels: []Label{{"le", "+Inf"}}, value: float64(total)},
+		sample{suffix: "_sum", value: math.Float64frombits(h.sum.Load())},
+		sample{suffix: "_count", value: float64(total)})
+	return f
 }
 
 // Histogram registers and returns a live histogram with the given
 // bucket upper bounds (sorted ascending; the +Inf bucket is implicit).
-// It panics if buckets is empty or unsorted.
+// It panics if buckets is empty or unsorted, or the name is invalid or
+// taken.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
+	if !validName(name) {
+		panic(fmt.Sprintf("metrics: invalid metric name %q", name))
+	}
 	if len(buckets) == 0 {
 		panic(fmt.Sprintf("metrics: histogram %q needs at least one bucket", name))
 	}
@@ -220,82 +176,14 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 			panic(fmt.Sprintf("metrics: histogram %q buckets not strictly ascending", name))
 		}
 	}
-	h := &Histogram{uppers: uppers, counts: make([]atomic.Uint64, len(uppers))}
-	r.register(name, help, KindHistogram, func(emit func(sample)) {
-		var cum uint64
-		for i, ub := range h.uppers {
-			cum += h.counts[i].Load()
-			emit(sample{suffix: "_bucket", labels: []Label{{"le", formatValue(ub)}}, value: float64(cum)})
-		}
-		total := h.count.Load()
-		emit(sample{suffix: "_bucket", labels: []Label{{"le", "+Inf"}}, value: float64(total)})
-		emit(sample{suffix: "_sum", value: math.Float64frombits(h.sum.Load())})
-		emit(sample{suffix: "_count", value: float64(total)})
-	})
+	h := &Histogram{name: name, help: help, uppers: uppers, counts: make([]atomic.Uint64, len(uppers))}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, dup := r.hists[name]; dup {
+		panic(fmt.Sprintf("metrics: duplicate metric name %q", name))
+	}
+	r.hists[name] = h
 	return h
-}
-
-// CounterFunc registers a counter whose value is read from fn at
-// scrape time — the natural fit for subsystems that already keep
-// atomic counters behind a Stats() snapshot.
-func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	r.register(name, help, KindCounter, func(emit func(sample)) {
-		emit(sample{value: fn()})
-	})
-}
-
-// GaugeFunc registers a gauge whose value is read from fn at scrape
-// time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.register(name, help, KindGauge, func(emit func(sample)) {
-		emit(sample{value: fn()})
-	})
-}
-
-// EmitFunc receives one labeled sample from a Vec collector. The
-// number of label values must match the label names the collector was
-// registered with; mismatches panic at scrape time.
-type EmitFunc func(value float64, labelValues ...string)
-
-// vecCollect adapts a labeled collector to the family collect shape.
-func vecCollect(name string, labelNames []string, fn func(EmitFunc)) func(emit func(sample)) {
-	return func(emit func(sample)) {
-		fn(func(value float64, labelValues ...string) {
-			if len(labelValues) != len(labelNames) {
-				panic(fmt.Sprintf("metrics: %s emitted %d label values, want %d",
-					name, len(labelValues), len(labelNames)))
-			}
-			labels := make([]Label, len(labelNames))
-			for i, n := range labelNames {
-				labels[i] = Label{Name: n, Value: labelValues[i]}
-			}
-			emit(sample{labels: labels, value: value})
-		})
-	}
-}
-
-// CounterVecFunc registers a labeled counter family whose samples are
-// produced by fn at scrape time: fn calls emit once per label
-// combination. The admission controller's per-lane counters and the
-// coordinator's per-replica counters use this.
-func (r *Registry) CounterVecFunc(name, help string, labelNames []string, fn func(EmitFunc)) {
-	for _, n := range labelNames {
-		if !validName(n) {
-			panic(fmt.Sprintf("metrics: invalid label name %q on %q", n, name))
-		}
-	}
-	r.register(name, help, KindCounter, vecCollect(name, labelNames, fn))
-}
-
-// GaugeVecFunc registers a labeled gauge family whose samples are
-// produced by fn at scrape time.
-func (r *Registry) GaugeVecFunc(name, help string, labelNames []string, fn func(EmitFunc)) {
-	for _, n := range labelNames {
-		if !validName(n) {
-			panic(fmt.Sprintf("metrics: invalid label name %q on %q", n, name))
-		}
-	}
-	r.register(name, help, KindGauge, vecCollect(name, labelNames, fn))
 }
 
 // formatValue renders a float the way Prometheus expects: shortest
@@ -339,32 +227,36 @@ func escapeHelp(v string) string {
 	return strings.ReplaceAll(v, "\n", `\n`)
 }
 
-// WriteText renders every registered family in the Prometheus text
-// exposition format 0.0.4; see Text.
-func (r *Registry) WriteText(w io.Writer) error {
-	_, err := io.WriteString(w, r.Text())
-	return err
-}
-
-// render renders all families into b, sorted by name so output is
-// deterministic for a fixed set of values.
-func (r *Registry) render(w *strings.Builder) {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
+// Text renders the families declared by snapshot's struct tags (nil
+// renders none) together with the registry's live histograms, in the
+// Prometheus text exposition format 0.0.4, sorted by family name. It fails if snapshot breaks the tag rules or
+// declares a family the registry already holds.
+func (r *Registry) Text(snapshot any) (string, error) {
+	fams, err := walk(snapshot)
+	if err != nil {
+		return "", err
 	}
-	fams := make([]*family, 0, len(names))
-	sort.Strings(names)
-	for _, name := range names {
-		fams = append(fams, r.families[name])
+	r.mu.Lock()
+	for name, h := range r.hists {
+		if _, dup := fams[name]; dup {
+			r.mu.Unlock()
+			return "", fmt.Errorf("metrics: snapshot declares %q, a live histogram", name)
+		}
+		fams[name] = h.family()
 	}
 	r.mu.Unlock()
 
-	for _, f := range fams {
-		fmt.Fprintf(w, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind)
-		f.collect(func(s sample) {
+	names := make([]string, 0, len(fams))
+	for name := range fams {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var w strings.Builder
+	for _, name := range names {
+		f := fams[name]
+		fmt.Fprintf(&w, "# HELP %s %s\n", f.name, escapeHelp(f.help))
+		fmt.Fprintf(&w, "# TYPE %s %s\n", f.name, f.kind)
+		for _, s := range f.samples {
 			w.WriteString(f.name)
 			w.WriteString(s.suffix)
 			if len(s.labels) > 0 {
@@ -383,16 +275,9 @@ func (r *Registry) render(w *strings.Builder) {
 			w.WriteByte(' ')
 			w.WriteString(formatValue(s.value))
 			w.WriteByte('\n')
-		})
+		}
 	}
-}
-
-// Text renders the registry as a string in the Prometheus text
-// exposition format 0.0.4.
-func (r *Registry) Text() string {
-	var b strings.Builder
-	r.render(&b)
-	return b.String()
+	return w.String(), nil
 }
 
 // ContentType is the Content-Type header value for the text exposition
@@ -400,15 +285,22 @@ func (r *Registry) Text() string {
 const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // Handler returns an http.Handler serving the registry as a scrape
-// endpoint (GET /metricsz).
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet && req.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET, HEAD")
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+// endpoint; mount it on GET /metricsz. Each scrape takes one value
+// from snapshot (nil: live histograms only) and renders it with Text,
+// so every family on a page reads the same snapshot; a snapshot that
+// breaks the tag rules is a 500.
+func (r *Registry) Handler(snapshot func() any) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		var snap any
+		if snapshot != nil {
+			snap = snapshot()
+		}
+		page, err := r.Text(snap)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
 		w.Header().Set("Content-Type", ContentType)
-		fmt.Fprint(w, r.Text())
+		fmt.Fprint(w, page)
 	})
 }

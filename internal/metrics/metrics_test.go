@@ -10,37 +10,99 @@ import (
 	"time"
 )
 
-// TestTextRendering locks the exposition format down: HELP/TYPE
-// comments, sorted families, label escaping, histogram expansion.
-func TestTextRendering(t *testing.T) {
-	reg := NewRegistry()
-	c := reg.Counter("soproc_test_points_total", "points handled")
-	c.Add(3)
-	g := reg.Gauge("soproc_test_in_flight_points", "points in flight")
-	g.Set(2)
-	g.Add(-1)
-	reg.CounterVecFunc("soproc_test_lane_admitted_total", "per-lane admits",
-		[]string{"lane"}, func(emit EmitFunc) {
-			emit(5, "interactive")
-			emit(7, `we"ird\lane`)
-		})
+// testPeer and testSnap exercise every walk rule: a labeled slice, a
+// labeled map, a bool, an omitempty field, a nested struct, and a
+// field marked as having no twin.
+type testPeer struct {
+	Addr string `json:"addr" label:"replica"`
+	Sent int64  `json:"sent" metric:"soproc_test_replica_sent_total" help:"sent per replica"`
+	Down bool   `json:"down" metric:"soproc_test_replica_down" help:"1 while down"`
+}
 
-	text := reg.Text()
+type testLane struct {
+	Admitted int64 `json:"admitted" metric:"soproc_test_lane_admitted_total" help:"per-lane admits"`
+}
+
+type testInner struct {
+	InFlight int `json:"in_flight" metric:"soproc_test_in_flight_points" help:"points in flight"`
+}
+
+type testSnap struct {
+	Points int64               `json:"points,omitempty" metric:"soproc_test_points_total" help:"points handled"`
+	Rate   float64             `json:"rate" metric:"-" help:"derived ratio"`
+	Inner  testInner           `json:"inner"`
+	Peers  []testPeer          `json:"peers"`
+	Lanes  map[string]testLane `json:"lanes" label:"lane"`
+}
+
+// TestTextRendering locks the exposition format down: HELP/TYPE
+// comments, sorted families, label escaping, the kind taken from the
+// name, bools as 0/1, map entries in key order, and omitempty zeros.
+func TestTextRendering(t *testing.T) {
+	snap := testSnap{
+		Inner: testInner{InFlight: 1},
+		Peers: []testPeer{{Addr: "10.0.0.2:8080", Sent: 4, Down: true}, {Addr: "10.0.0.1:8080"}},
+		Lanes: map[string]testLane{"interactive": {5}, `we"ird\lane`: {7}, "bulk": {2}},
+	}
+	text, err := NewRegistry().Text(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, want := range []string{
 		"# HELP soproc_test_points_total points handled\n",
 		"# TYPE soproc_test_points_total counter\n",
-		"soproc_test_points_total 3\n",
+		"soproc_test_points_total 0\n",
+		"# TYPE soproc_test_in_flight_points gauge\n",
 		"soproc_test_in_flight_points 1\n",
-		`soproc_test_lane_admitted_total{lane="interactive"} 5` + "\n",
-		`soproc_test_lane_admitted_total{lane="we\"ird\\lane"} 7` + "\n",
+		`soproc_test_replica_sent_total{replica="10.0.0.2:8080"} 4` + "\n" +
+			`soproc_test_replica_sent_total{replica="10.0.0.1:8080"} 0` + "\n",
+		`soproc_test_replica_down{replica="10.0.0.2:8080"} 1` + "\n",
+		`soproc_test_replica_down{replica="10.0.0.1:8080"} 0` + "\n",
+		`soproc_test_lane_admitted_total{lane="bulk"} 2` + "\n" +
+			`soproc_test_lane_admitted_total{lane="interactive"} 5` + "\n" +
+			`soproc_test_lane_admitted_total{lane="we\"ird\\lane"} 7` + "\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("rendering missing %q in:\n%s", want, text)
 		}
 	}
+	if strings.Contains(text, "rate") {
+		t.Errorf("a metric:\"-\" field was rendered:\n%s", text)
+	}
 	// Families must render sorted by name.
 	if strings.Index(text, "soproc_test_in_flight_points") > strings.Index(text, "soproc_test_points_total") {
 		t.Errorf("families not sorted by name:\n%s", text)
+	}
+}
+
+// TestWalkRejectsUndeclared holds the walk to its one-declaration
+// rule: a number the snapshot carries without a metric twin, without
+// help text, or without labels to tell its series apart is an error,
+// never a silently missing or colliding family.
+func TestWalkRejectsUndeclared(t *testing.T) {
+	type untagged struct {
+		Hits int64 `json:"hits"`
+	}
+	type noHelp struct {
+		Hits int64 `metric:"soproc_test_hits_total"`
+	}
+	type badName struct {
+		Hits int64 `metric:"soproc-hits" help:"hits"`
+	}
+	type histogram struct {
+		Hist int64 `metric:"soproc_test_latency_seconds" help:"clash"`
+	}
+	for _, snap := range []any{
+		untagged{}, &struct{ Inner untagged }{}, struct{ X any }{X: untagged{}},
+		noHelp{}, badName{}, histogram{}, struct{ A, B testInner }{},
+		struct{ Lanes map[string]testLane }{},
+		struct{ Lanes []testLane }{Lanes: make([]testLane, 2)},
+	} {
+		reg := NewRegistry()
+		reg.Histogram("soproc_test_latency_seconds", "latency", []float64{1})
+		if text, err := reg.Text(snap); err == nil {
+			t.Errorf("Text(%T) accepted an undeclared leaf:\n%s", snap, text)
+		}
 	}
 }
 
@@ -51,7 +113,11 @@ func TestHistogram(t *testing.T) {
 	for _, v := range []float64{0.005, 0.05, 0.5, 5} {
 		h.Observe(v)
 	}
-	fams, err := ParseText(reg.Text())
+	text, err := reg.Text(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fams, err := ParseText(text)
 	if err != nil {
 		t.Fatalf("ParseText: %v", err)
 	}
@@ -84,23 +150,27 @@ func TestHistogram(t *testing.T) {
 // must come back with its kind, help, and values intact.
 func TestParseRoundTrip(t *testing.T) {
 	reg := NewRegistry()
-	reg.CounterFunc("soproc_test_routed_points_total", "routed", func() float64 { return 42 })
-	reg.GaugeVecFunc("soproc_test_replica_down", "down flags", []string{"replica"}, func(emit EmitFunc) {
-		emit(1, "10.0.0.1:8080")
-	})
-	fams, err := ParseText(reg.Text())
+	reg.Histogram("soproc_test_latency_seconds", "latency", []float64{1}).Observe(0.5)
+	text, err := reg.Text(testSnap{Points: 42, Peers: []testPeer{{Addr: "10.0.0.1:8080", Down: true}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fams, err := ParseText(text)
 	if err != nil {
 		t.Fatalf("ParseText: %v", err)
 	}
-	if v, ok := fams["soproc_test_routed_points_total"].Value(); !ok || v != 42 {
-		t.Errorf("routed counter: got %v ok=%v", v, ok)
+	if v, ok := fams["soproc_test_points_total"].Value(); !ok || v != 42 {
+		t.Errorf("points counter: got %v ok=%v", v, ok)
 	}
-	if fams["soproc_test_routed_points_total"].Help != "routed" {
-		t.Errorf("help lost: %+v", fams["soproc_test_routed_points_total"])
+	if fams["soproc_test_points_total"].Help != "points handled" {
+		t.Errorf("help lost: %+v", fams["soproc_test_points_total"])
 	}
 	s, ok := fams["soproc_test_replica_down"].Sample(map[string]string{"replica": "10.0.0.1:8080"})
 	if !ok || s.Value != 1 {
 		t.Errorf("replica gauge: got %+v ok=%v", s, ok)
+	}
+	if fams["soproc_test_latency_seconds"].Kind != KindHistogram {
+		t.Errorf("histogram lost its kind: %+v", fams["soproc_test_latency_seconds"])
 	}
 }
 
@@ -122,8 +192,11 @@ func TestParseRejectsMalformed(t *testing.T) {
 // TestHandler serves a scrape over HTTP with the 0.0.4 content type.
 func TestHandler(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("soproc_test_points_total", "points").Inc()
-	srv := httptest.NewServer(reg.Handler())
+	calls := 0
+	srv := httptest.NewServer(reg.Handler(func() any {
+		calls++
+		return testSnap{Points: 1}
+	}))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL)
 	if err != nil {
@@ -138,18 +211,21 @@ func TestHandler(t *testing.T) {
 	if !strings.Contains(string(buf[:n]), "soproc_test_points_total 1") {
 		t.Errorf("scrape body missing counter: %s", buf[:n])
 	}
+	if calls != 1 {
+		t.Errorf("one scrape took %d snapshots, want 1", calls)
+	}
 }
 
 // TestDuplicateRegistrationPanics locks in fail-fast registration.
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("soproc_test_points_total", "points")
+	reg.Histogram("soproc_test_latency_seconds", "latency", []float64{1})
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate registration did not panic")
 		}
 	}()
-	reg.Counter("soproc_test_points_total", "again")
+	reg.Histogram("soproc_test_latency_seconds", "again", []float64{1})
 }
 
 // TestDecisionLogRing checks wraparound, ordering, and Seq continuity.

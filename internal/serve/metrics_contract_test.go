@@ -2,12 +2,12 @@ package serve_test
 
 import (
 	"encoding/json"
-	"io"
+	"fmt"
 	"net/http/httptest"
 	"regexp"
-	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"scaleout/internal/admit"
 	"scaleout/internal/cluster"
@@ -17,128 +17,34 @@ import (
 	"scaleout/internal/store"
 )
 
-// statszTwin maps every numeric (or boolean) /statsz leaf — dotted
-// path, array indices and lane names collapsed to "*" — to the
-// /metricsz family that carries the same number. This is the contract
-// that keeps the two observability surfaces from drifting: a counter
-// added to a Stats() snapshot without a metrics twin fails the test
-// until it is either wired up or explicitly exempted with a reason.
-var statszTwin = map[string]string{
-	"workers":         "soproc_engine_worker_slots",
-	"in_flight":       "soproc_engine_in_flight_points",
-	"remote":          "soproc_engine_remote_points_total",
-	"memo.hits":       "soproc_engine_memo_hits_total",
-	"memo.misses":     "soproc_engine_points_total",
-	"memo.evictions":  "soproc_engine_memo_evictions_total",
-	"memo.store_hits": "soproc_engine_store_hits_total",
-	"memo.size":       "soproc_engine_memo_entries",
-	"memo.capacity":   "soproc_engine_memo_capacity_entries",
-	"experiments":     "soproc_server_experiments",
-	"uptime_seconds":  "soproc_server_uptime_seconds",
-
-	"tier.scored":           "soproc_tier_scored_points_total",
-	"tier.anchor_hits":      "soproc_tier_anchor_hits_total",
-	"tier.surrogate_served": "soproc_tier_surrogate_served_total",
-	"tier.escalated":        "soproc_tier_escalated_points_total",
-	"tier.anchors":          "soproc_tier_anchors",
-	"tier.regions":          "soproc_tier_regions",
-
-	"store.loaded":      "soproc_store_loaded_records_total",
-	"store.entries":     "soproc_store_entries",
-	"store.disk_hits":   "soproc_store_disk_hits_total",
-	"store.disk_misses": "soproc_store_disk_misses_total",
-	"store.appends":     "soproc_store_appends_total",
-	"store.compactions": "soproc_store_compactions_total",
-	"store.bytes":       "soproc_store_log_bytes",
-	"store.save_errors": "soproc_store_save_errors_total",
-
-	"cluster.routed":           "soproc_cluster_routed_points_total",
-	"cluster.failovers":        "soproc_cluster_failovers_total",
-	"cluster.retries":          "soproc_cluster_retries_total",
-	"cluster.busy":             "soproc_cluster_busy_total",
-	"cluster.local_fallbacks":  "soproc_cluster_local_fallbacks_total",
-	"cluster.unroutable":       "soproc_cluster_unroutable_total",
-	"cluster.rejects":          "soproc_cluster_rejects_total",
-	"cluster.posts":            "soproc_cluster_posts_total",
-	"cluster.peers.*.sent":     "soproc_cluster_replica_sent_points_total",
-	"cluster.peers.*.failures": "soproc_cluster_replica_failures_total",
-	"cluster.peers.*.busy":     "soproc_cluster_replica_busy_total",
-	"cluster.peers.*.probes":   "soproc_cluster_replica_probes_total",
-	"cluster.peers.*.down":     "soproc_cluster_replica_down",
-
-	"admit.admitted":         "soproc_admit_admitted_total",
-	"admit.in_flight":        "soproc_admit_in_flight_requests",
-	"admit.rate_limited":     "soproc_admit_rate_limited_total",
-	"admit.shed_queue_full":  "soproc_admit_shed_queue_full_total",
-	"admit.shed_draining":    "soproc_admit_shed_draining_total",
-	"admit.abandoned":        "soproc_admit_abandoned_total",
-	"admit.lanes.*.admitted": "soproc_admit_lane_admitted_total",
-	"admit.lanes.*.queued":   "soproc_admit_lane_queued_total",
-	"admit.lanes.*.depth":    "soproc_admit_lane_depth",
-	"admit.clients":          "soproc_admit_clients",
-	"admit.draining":         "soproc_admit_draining",
-}
-
-// statszExempt lists /statsz leaves that deliberately have no metrics
-// twin, with the reason.
-var statszExempt = map[string]string{
-	"tier.escalation_rate": "derived ratio; compute from escalated/scored at query time",
-}
-
 // metricNamePattern is the repo's naming contract:
 // soproc_<subsystem>_<name>, lower-snake.
 var metricNamePattern = regexp.MustCompile(`^soproc_(engine|tier|server|store|cluster|admit)_[a-z0-9_]+$`)
 
-// TestMetricsContract wires every subsystem into one server — engine
-// with store, tiered evaluator, admission controller, and a (never
-// routed) cluster coordinator — and holds /metricsz to its contracts:
-// the page parses as strict Prometheus text, every family obeys the
-// naming rules, and every /statsz leaf has its metrics twin present on
-// the same scrape.
+// TestMetricsContract holds a fully wired server's /metricsz to its
+// contracts: the page is served at all — the walk of the /statsz
+// snapshot refuses any numeric or bool leaf without a metric tag, so a
+// 200 means every leaf declared its twin or its reason for having
+// none — it parses as strict Prometheus text, and every family obeys
+// the naming rules. A field /statsz omits when zero is still on the
+// page.
 func TestMetricsContract(t *testing.T) {
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatalf("store.Open: %v", err)
-	}
-	defer st.Close()
-	eng := exp.NewBounded(2, 64)
-	eng.SetStore(st)
-	srv := serve.New(eng)
-	obs := srv.EnableObservability(serve.ObservabilityOptions{TraceDecisions: true})
-	st.RegisterMetrics(obs.Registry)
-	coord, err := cluster.New([]string{"127.0.0.1:1", "127.0.0.1:2"})
-	if err != nil {
-		t.Fatalf("cluster.New: %v", err)
-	}
-	coord.RegisterMetrics(obs.Registry)
-	srv.SetClusterStats(func() any { return coord.Stats() })
-	srv.SetStoreStats(func() any { return st.Stats() })
-	ctrl := admit.New(admit.Options{MaxInFlight: 4})
-	ctrl.RegisterMetrics(obs.Registry)
-	srv.SetAdmitStats(func() any { return ctrl.Stats() })
+	ts, _ := wiredServer(t, "127.0.0.1:1", "127.0.0.1:2")
 
-	ts := httptest.NewServer(ctrl.Middleware(srv.Handler()))
-	defer ts.Close()
-
-	// Scrape and parse /metricsz.
 	mres, err := ts.Client().Get(ts.URL + "/metricsz")
 	if err != nil {
 		t.Fatalf("GET /metricsz: %v", err)
 	}
-	defer mres.Body.Close()
+	mres.Body.Close()
 	if ct := mres.Header.Get("Content-Type"); ct != metrics.ContentType {
 		t.Fatalf("Content-Type = %q, want %q", ct, metrics.ContentType)
 	}
-	page, err := io.ReadAll(mres.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fams, err := metrics.ParseText(string(page))
+	page := scrape(t, ts, "/metricsz")
+	fams, err := metrics.ParseText(page)
 	if err != nil {
 		t.Fatalf("ParseText(/metricsz): %v\npage:\n%s", err, page)
 	}
 
-	// Naming contract.
 	for name, fam := range fams {
 		if !metricNamePattern.MatchString(name) {
 			t.Errorf("family %q violates soproc_<subsystem>_<name> naming", name)
@@ -150,87 +56,44 @@ func TestMetricsContract(t *testing.T) {
 			t.Errorf("family %q has no HELP text", name)
 		}
 	}
-
-	// Flatten /statsz and cross-check the twin table.
-	sres, err := ts.Client().Get(ts.URL + "/statsz")
-	if err != nil {
-		t.Fatalf("GET /statsz: %v", err)
-	}
-	defer sres.Body.Close()
-	var doc map[string]any
-	if err := json.NewDecoder(sres.Body).Decode(&doc); err != nil {
-		t.Fatalf("decode /statsz: %v", err)
-	}
-	leaves := map[string]bool{}
-	flattenStatsz("", doc, leaves)
-
-	var paths []string
-	for p := range leaves {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		if _, ok := statszExempt[path]; ok {
-			continue
-		}
-		family, ok := statszTwin[path]
-		if !ok {
-			t.Errorf("/statsz leaf %q has no /metricsz twin: add one to the registry and to statszTwin, or exempt it with a reason", path)
-			continue
-		}
-		if _, ok := fams[family]; !ok {
-			t.Errorf("/statsz leaf %q maps to %q, which is missing from /metricsz", path, family)
-		}
-	}
-	// The table must not reference families that no longer exist
-	// either — a rename has to land on both surfaces.
-	for path, family := range statszTwin {
-		if _, ok := fams[family]; !ok {
-			t.Errorf("statszTwin[%q] = %q is not on /metricsz", path, family)
+	for _, name := range []string{"soproc_engine_store_hits_total", "soproc_store_save_errors_total"} {
+		if v, ok := fams[name].Value(); !ok || v != 0 {
+			t.Errorf("%s = %v (present %v), want an explicit 0", name, v, ok)
 		}
 	}
 }
 
-// flattenStatsz walks a decoded JSON document and records every
-// numeric or boolean leaf as a dotted path; array indices and the keys
-// of "lanes" maps collapse to "*" so per-replica and per-lane leaves
-// match one table entry.
-func flattenStatsz(prefix string, v any, out map[string]bool) {
-	switch x := v.(type) {
-	case map[string]any:
-		for k, child := range x {
-			key := k
-			if strings.HasSuffix(prefix, "lanes") {
-				key = "*"
-			}
-			p := key
-			if prefix != "" {
-				p = prefix + "." + key
-			}
-			flattenStatsz(p, child, out)
-		}
-	case []any:
-		for _, child := range x {
-			flattenStatsz(prefix+".*", child, out)
-		}
-	case float64, bool:
-		out[prefix] = true
-	}
+// wiredStatsz is a fully wired server's /statsz body with its
+// optional sections decoded into their snapshot types (the outer
+// fields shadow StatsResponse's untyped ones).
+type wiredStatsz struct {
+	serve.StatsResponse
+	Store   store.Stats   `json:"store"`
+	Cluster cluster.Stats `json:"cluster"`
+	Admit   admit.Stats   `json:"admit"`
 }
 
-// TestMetricsTwinValuesAgree spot-checks that a twin pair reports the
-// same number on the same scrape after traffic: the engine's /statsz
-// memo counters equal the soproc_engine_* families.
+// TestMetricsTwinValuesAgree drives traffic through a fully wired
+// server — a coordinator routing across one live replica and one dead
+// one, behind admission, with a store — lets it go quiet, and checks
+// that every /metricsz sample equals its /statsz value on the same
+// state: bools as 0/1, per-replica and per-lane samples matched by
+// label. Only uptime, which moves between the two requests, is
+// excluded.
 func TestMetricsTwinValuesAgree(t *testing.T) {
-	eng := exp.New(2)
-	srv := serve.New(eng)
-	obs := srv.EnableObservability(serve.ObservabilityOptions{})
+	replica := httptest.NewServer(serve.New(exp.New(1)).Handler())
+	defer replica.Close()
+	live, dead := replica.Listener.Addr().String(), "127.0.0.1:1"
+	ts, eng := wiredServer(t, live, dead)
 
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	// Drive some points through the sweep endpoint, twice for memo hits.
-	body := `{"points":[{"workload":"Web Search","core":"ooo","cores":4,"llc_mb":2}]}`
+	// Sixteen distinct points: each replica owns some of them unless a
+	// 1-in-65536 hash split says otherwise (the live replica's port
+	// changes per run). The second pass is all memo hits.
+	var pts []string
+	for mb := 1; mb <= 16; mb++ {
+		pts = append(pts, fmt.Sprintf(`{"workload":"Web Search","core":"ooo","cores":2,"llc_mb":%d}`, mb))
+	}
+	body := `{"points":[` + strings.Join(pts, ",") + `]}`
 	for i := 0; i < 2; i++ {
 		res, err := ts.Client().Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -241,25 +104,79 @@ func TestMetricsTwinValuesAgree(t *testing.T) {
 			t.Fatalf("POST /v1/sweep: status %d", res.StatusCode)
 		}
 	}
+	if es := eng.Stats(); es.Misses+es.Remote == 0 || es.Hits == 0 {
+		t.Fatalf("traffic did not exercise both memo paths: %+v", es)
+	}
 
-	fams, err := metrics.ParseText(obs.Registry.Text())
+	// A client can read its response before the admission middleware
+	// releases the request's slot; wait for the release.
+	var doc wiredStatsz
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		doc = wiredStatsz{}
+		if err := json.Unmarshal([]byte(scrape(t, ts, "/statsz")), &doc); err != nil {
+			t.Fatalf("decode /statsz: %v", err)
+		}
+		if doc.Admit.InFlight == 0 || time.Now().After(deadline) {
+			break
+		}
+	}
+	got, err := metrics.ParseText(scrape(t, ts, "/metricsz"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	es := eng.Stats()
-	for family, want := range map[string]int64{
-		"soproc_engine_points_total":    es.Misses,
-		"soproc_engine_memo_hits_total": es.Hits,
-	} {
-		fam, ok := fams[family]
-		if !ok {
-			t.Fatalf("%s missing from scrape", family)
+
+	// The walk of the decoded /statsz body names every family and
+	// sample the live page must carry, with /statsz's values.
+	snap := doc.StatsResponse
+	snap.Store, snap.Cluster, snap.Admit = doc.Store, doc.Cluster, doc.Admit
+	page, err := metrics.NewRegistry().Text(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := metrics.ParseText(page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, wf := range want {
+		gf := got[name]
+		if gf == nil {
+			t.Errorf("%s is on /statsz but not /metricsz", name)
+			continue
 		}
-		if got := fam.Samples[0].Value; got != float64(want) {
-			t.Errorf("%s = %v, /statsz says %d", family, got, want)
+		if gf.Kind != wf.Kind || len(gf.Samples) != len(wf.Samples) {
+			t.Errorf("%s: /metricsz has %s with %d samples, /statsz walks to %s with %d",
+				name, gf.Kind, len(gf.Samples), wf.Kind, len(wf.Samples))
+			continue
+		}
+		if name == "soproc_server_uptime_seconds" {
+			continue
+		}
+		for _, ws := range wf.Samples {
+			if gs, ok := gf.Sample(ws.Labels); !ok || gs.Value != ws.Value {
+				t.Errorf("%s%v = %v (present %v), /statsz says %v", name, ws.Labels, gs.Value, ok, ws.Value)
+			}
 		}
 	}
-	if es.Misses == 0 || es.Hits == 0 {
-		t.Fatalf("traffic did not exercise both memo paths: %+v", es)
+	for name := range got {
+		if want[name] == nil && name != "soproc_engine_point_latency_seconds" {
+			t.Errorf("%s is on /metricsz but has no /statsz field", name)
+		}
+	}
+
+	// The comparison above covered labeled and bool samples for real:
+	// the dead replica is down, the live one answered, and the lanes
+	// add up to a nonzero admission total.
+	if s, _ := got["soproc_cluster_replica_down"].Sample(map[string]string{"replica": dead}); s.Value != 1 {
+		t.Errorf("dead replica %s: soproc_cluster_replica_down = %v, want 1", dead, s.Value)
+	}
+	if s, _ := got["soproc_cluster_replica_sent_points_total"].Sample(map[string]string{"replica": live}); s.Value == 0 {
+		t.Errorf("live replica %s answered no points", live)
+	}
+	var lanes float64
+	for _, s := range got["soproc_admit_lane_admitted_total"].Samples {
+		lanes += s.Value
+	}
+	if total, _ := got["soproc_admit_admitted_total"].Value(); lanes != total || total == 0 {
+		t.Errorf("lanes admitted %v, total %v; want equal and nonzero", lanes, total)
 	}
 }

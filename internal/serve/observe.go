@@ -3,7 +3,6 @@ package serve
 import (
 	"net/http"
 	"strconv"
-	"time"
 
 	"scaleout/internal/exp"
 	"scaleout/internal/metrics"
@@ -22,20 +21,22 @@ type ObservabilityOptions struct {
 }
 
 // Observability is the live instrumentation EnableObservability wires
-// into a server: the registry behind GET /metricsz (cmd/soprocd
-// registers its store, cluster, and admission metrics on it too) and
-// the decision ring behind GET /v1/trace (nil unless TraceDecisions).
+// into a server: the registry holding the per-point latency histogram
+// and the decision ring behind GET /v1/trace (nil unless
+// TraceDecisions).
 type Observability struct {
 	Registry *metrics.Registry
 	Trace    *metrics.DecisionLog
 }
 
-// EnableObservability builds the server's metrics registry — engine,
-// tier, and server families, plus the per-point latency histogram fed
-// by the engine's decision hook — and mounts GET /metricsz and
-// GET /v1/trace. Call exactly once, before serving and before SetTier
-// swaps in a calibrated evaluator (the decision hook follows the swap;
-// the tier metric families always read the current evaluator).
+// EnableObservability mounts GET /metricsz and GET /v1/trace. Each
+// scrape takes one /statsz snapshot and walks it — every engine, tier,
+// server, store, cluster and admission family is the metric tag on its
+// /statsz field, so a section's families appear exactly when the
+// section does — and adds the per-point latency histogram fed by the
+// engine's decision hook. Call exactly once, before serving and before
+// SetTier swaps in a calibrated evaluator (the decision hook follows
+// the swap; the snapshot always reads the current evaluator).
 func (s *Server) EnableObservability(o ObservabilityOptions) *Observability {
 	reg := metrics.NewRegistry()
 	obs := &Observability{Registry: reg}
@@ -44,40 +45,11 @@ func (s *Server) EnableObservability(o ObservabilityOptions) *Observability {
 	}
 	s.obs = obs
 
-	exp.RegisterEngineMetrics(reg, s.eng)
 	hist := exp.NewPointLatencyHistogram(reg)
 	exp.ObserveDecisions(s.eng, obs.Trace, hist)
 	s.installTierHook()
 
-	// Tier families read through s.tier at scrape time, so a later
-	// SetTier (soprocd -calibration) is reflected without re-wiring.
-	reg.CounterFunc("soproc_tier_scored_points_total",
-		"points seen by the tiered evaluator (all surrogate-scored first)",
-		func() float64 { return float64(s.tier.Stats().Scored) })
-	reg.CounterFunc("soproc_tier_anchor_hits_total",
-		"points served from the calibration anchor store",
-		func() float64 { return float64(s.tier.Stats().AnchorHits) })
-	reg.CounterFunc("soproc_tier_surrogate_served_total",
-		"points served from the analytic surrogate in fast mode",
-		func() float64 { return float64(s.tier.Stats().SurrogateServed) })
-	reg.CounterFunc("soproc_tier_escalated_points_total",
-		"points escalated to the simulators",
-		func() float64 { return float64(s.tier.Stats().Escalated) })
-	reg.GaugeFunc("soproc_tier_anchors",
-		"calibration anchors loaded",
-		func() float64 { return float64(s.tier.Stats().Anchors) })
-	reg.GaugeFunc("soproc_tier_regions",
-		"certified calibration regions loaded",
-		func() float64 { return float64(s.tier.Stats().Regions) })
-
-	reg.GaugeFunc("soproc_server_uptime_seconds",
-		"seconds since this server was constructed",
-		func() float64 { return time.Since(s.start).Seconds() })
-	reg.GaugeFunc("soproc_server_experiments",
-		"registered experiment IDs",
-		func() float64 { return float64(len(s.known)) })
-
-	s.mux.Handle("GET /metricsz", reg.Handler())
+	s.mux.Handle("GET /metricsz", reg.Handler(func() any { return s.stats() }))
 	s.mux.HandleFunc("GET /v1/trace", s.handleTrace)
 	return obs
 }

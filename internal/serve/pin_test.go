@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"scaleout/internal/admit"
 	"scaleout/internal/cluster"
@@ -21,11 +22,12 @@ import (
 
 // wiredServer builds one server with every observable subsystem wired
 // the way soprocd wires them — engine with a store, the tiered
-// evaluator, a (never routed) cluster coordinator over two replicas,
-// an admission controller in front, and decision tracing on — and
-// serves it. The coordinator is returned so a test can route through
-// it.
-func wiredServer(t *testing.T) (*httptest.Server, *serve.Server, *exp.Engine, *cluster.Coordinator) {
+// evaluator, a cluster coordinator routing the engine across peers, an
+// admission controller in front, and decision tracing on — and serves
+// it. The coordinator never probes and keeps a failed replica down for
+// an hour, so a server with no requests in flight is quiescent: two
+// scrapes in a row read the same numbers.
+func wiredServer(t *testing.T, peers ...string) (*httptest.Server, *exp.Engine) {
 	t.Helper()
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -35,22 +37,21 @@ func wiredServer(t *testing.T) (*httptest.Server, *serve.Server, *exp.Engine, *c
 	eng := exp.NewBounded(2, 64)
 	eng.SetStore(st)
 	srv := serve.New(eng)
-	obs := srv.EnableObservability(serve.ObservabilityOptions{TraceDecisions: true})
+	srv.EnableObservability(serve.ObservabilityOptions{TraceDecisions: true})
 	srv.SetStoreStats(func() any { return st.Stats() })
-	st.RegisterMetrics(obs.Registry)
-	coord, err := cluster.New([]string{"127.0.0.1:1", "127.0.0.1:2"})
+	coord, err := cluster.New(peers,
+		cluster.WithProbeInterval(0), cluster.WithRetries(0), cluster.WithCooldown(time.Hour))
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)
 	}
+	eng.SetRoute(coord.Route)
 	srv.SetClusterStats(func() any { return coord.Stats() })
-	coord.RegisterMetrics(obs.Registry)
 	ctrl := admit.New(admit.Options{MaxInFlight: 4})
 	srv.SetAdmitStats(func() any { return ctrl.Stats() })
-	ctrl.RegisterMetrics(obs.Registry)
 
 	ts := httptest.NewServer(ctrl.Middleware(srv.Handler()))
 	t.Cleanup(ts.Close)
-	return ts, srv, eng, coord
+	return ts, eng
 }
 
 // scrape GETs path from ts and returns the body.
@@ -120,23 +121,17 @@ func statszLeaves(t *testing.T, body string) string {
 	var paths []string
 	var walk func(prefix string, v any)
 	walk = func(prefix string, v any) {
-		join := func(k string) string {
-			if prefix == "" {
-				return k
-			}
-			return prefix + "." + k
-		}
 		switch x := v.(type) {
 		case map[string]any:
 			for k, child := range x {
-				walk(join(k), child)
+				walk(prefix+"."+k, child)
 			}
 		case []any:
 			for i, child := range x {
-				walk(join(strconv.Itoa(i)), child)
+				walk(prefix+"."+strconv.Itoa(i), child)
 			}
 		default:
-			paths = append(paths, prefix)
+			paths = append(paths, strings.TrimPrefix(prefix, "."))
 		}
 	}
 	walk("", doc)
@@ -151,7 +146,7 @@ func statszLeaves(t *testing.T, body string) string {
 // HELP text or type, or a moved /statsz field fails here; a deliberate
 // change rewrites the file in the same commit.
 func TestObservabilityPins(t *testing.T) {
-	ts, _, _, _ := wiredServer(t)
+	ts, _ := wiredServer(t, "127.0.0.1:1", "127.0.0.1:2")
 	for file, got := range map[string]string{
 		"metricsz_families.txt": metricsDeclarations(t, scrape(t, ts, "/metricsz")),
 		"statsz_leaves.txt":     statszLeaves(t, scrape(t, ts, "/statsz")),

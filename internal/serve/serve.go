@@ -169,29 +169,32 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	io.WriteString(w, "ok\n")
 }
 
-// MemoStats is the memo section of the /statsz response.
+// MemoStats is the memo section of the /statsz response. Each field's
+// metric tag names its /metricsz twin (see package metrics).
 type MemoStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
+	Hits      int64 `json:"hits" metric:"soproc_engine_memo_hits_total" help:"points served from the in-memory memo, including waits on in-flight duplicates"`
+	Misses    int64 `json:"misses" metric:"soproc_engine_points_total" help:"points computed by this engine's local worker pool (memo misses, including seeded structural batches)"`
+	Evictions int64 `json:"evictions" metric:"soproc_engine_memo_evictions_total" help:"memo entries discarded to stay within capacity"`
 	// StoreHits counts memo misses answered by the persistent result
 	// store instead of the simulator; always 0 without -store.
-	StoreHits int64 `json:"store_hits,omitempty"`
-	Size      int   `json:"size"`
-	Capacity  int   `json:"capacity"` // 0 = unbounded
+	StoreHits int64 `json:"store_hits,omitempty" metric:"soproc_engine_store_hits_total" help:"memo misses answered by the persistent result store"`
+	Size      int   `json:"size" metric:"soproc_engine_memo_entries" help:"resident memo entries"`
+	Capacity  int   `json:"capacity" metric:"soproc_engine_memo_capacity_entries" help:"memo resident-entry bound (0 = unbounded)"`
 }
 
-// StatsResponse is the /statsz body. Remote counts points resolved on
-// cluster replicas rather than the local pool; Cluster is the
-// coordinator's per-replica routing snapshot (cluster.Stats) and is
-// present only when this daemon runs with -peers.
+// StatsResponse is the /statsz body, and the snapshot every /metricsz
+// scrape walks: each numeric field's metric tag names its twin family.
+// Remote counts points resolved on cluster replicas rather than the
+// local pool; Cluster is the coordinator's per-replica routing snapshot
+// (cluster.Stats) and is present only when this daemon runs with
+// -peers.
 type StatsResponse struct {
-	Workers       int       `json:"workers"`
-	InFlight      int64     `json:"in_flight"`
-	Remote        int64     `json:"remote"`
+	Workers       int       `json:"workers" metric:"soproc_engine_worker_slots" help:"worker-pool size"`
+	InFlight      int64     `json:"in_flight" metric:"soproc_engine_in_flight_points" help:"computations executing right now"`
+	Remote        int64     `json:"remote" metric:"soproc_engine_remote_points_total" help:"points resolved by the installed router on a cluster replica"`
 	Memo          MemoStats `json:"memo"`
-	Experiments   int       `json:"experiments"`
-	UptimeSeconds float64   `json:"uptime_seconds"`
+	Experiments   int       `json:"experiments" metric:"soproc_server_experiments" help:"registered experiment IDs"`
+	UptimeSeconds float64   `json:"uptime_seconds" metric:"soproc_server_uptime_seconds" help:"seconds since this server was constructed"`
 	// Tier is the tiered evaluator's per-tier point counters and
 	// escalation rate (tier.Stats).
 	Tier tier.Stats `json:"tier"`
@@ -206,6 +209,12 @@ type StatsResponse struct {
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, http.StatusOK, s.stats())
+}
+
+// stats snapshots every wired subsystem once: the /statsz body, and
+// the value each /metricsz scrape walks.
+func (s *Server) stats() StatsResponse {
 	st := s.eng.Stats()
 	resp := StatsResponse{
 		Workers:  s.eng.Workers(),
@@ -232,7 +241,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 	if s.admitStats != nil {
 		resp.Admit = s.admitStats()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 // ExperimentsResponse is the /v1/experiments body.

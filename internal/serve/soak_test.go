@@ -21,8 +21,10 @@ import (
 // the race detector: eight workers push overlapping sim batches through
 // a small-memo engine backed by a write-through store, gated by an
 // admission controller, while a scraper renders and re-parses the
-// shared metrics registry (live histogram plus scrape-time closures)
-// and the decision ring fills. Afterwards the books must balance —
+// /metricsz page (live histogram plus the walked /statsz snapshot)
+// and the decision ring fills. Every page must be self-consistent —
+// the admission total equals the sum of its lanes, because a page
+// reads one snapshot. Afterwards the books must balance —
 // every admission attempt accounted for, every point served by exactly
 // one of memo/store/compute, and the final scrape numerically equal to
 // the subsystems' own stats.
@@ -43,9 +45,16 @@ func TestObservabilitySoak(t *testing.T) {
 	eng.SetStore(st)
 	srv := New(eng)
 	obs := srv.EnableObservability(ObservabilityOptions{TraceDecisions: true, TraceCapacity: 256})
-	st.RegisterMetrics(obs.Registry)
+	srv.SetStoreStats(func() any { return st.Stats() })
 	ctrl := admit.New(admit.Options{MaxInFlight: 6, QueueDepth: 4})
-	ctrl.RegisterMetrics(obs.Registry)
+	srv.SetAdmitStats(func() any { return ctrl.Stats() })
+	scrape := func() (map[string]*metrics.ParsedFamily, error) {
+		page, err := obs.Registry.Text(srv.stats())
+		if err != nil {
+			return nil, err
+		}
+		return metrics.ParseText(page)
+	}
 
 	suite := workload.Suite()
 	cfgs := make([]sim.Config, 96)
@@ -90,15 +99,25 @@ func TestObservabilitySoak(t *testing.T) {
 		}(int64(g))
 	}
 	// The scraper races the workers on purpose: rendering must never
-	// tear (ParseText re-validates every page) and never deadlock
-	// against the subsystems' own locks.
+	// tear (ParseText re-validates every page), never deadlock against
+	// the subsystems' own locks, and never mix two snapshots on a page.
 	scrapes := 0
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for time.Now().Before(deadline) {
-			if _, err := metrics.ParseText(obs.Registry.Text()); err != nil {
+			fams, err := scrape()
+			if err != nil {
 				t.Errorf("mid-soak scrape: %v", err)
+				return
+			}
+			total, _ := fams["soproc_admit_admitted_total"].Value()
+			var lanes float64
+			for _, s := range fams["soproc_admit_lane_admitted_total"].Samples {
+				lanes += s.Value
+			}
+			if total != lanes {
+				t.Errorf("mid-soak scrape: soproc_admit_admitted_total %v != %v summed over lanes", total, lanes)
 				return
 			}
 			scrapes++
@@ -141,7 +160,7 @@ func TestObservabilitySoak(t *testing.T) {
 
 	// The quiesced scrape equals the subsystems' own counters, and the
 	// decision ring saw every engine resolution.
-	byName, err := metrics.ParseText(obs.Registry.Text())
+	byName, err := scrape()
 	if err != nil {
 		t.Fatalf("final scrape: %v", err)
 	}

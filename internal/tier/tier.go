@@ -173,21 +173,22 @@ func New(c *Calibration, mode Mode) *Evaluator {
 }
 
 // Stats is a snapshot of the evaluator's per-tier point counters; the
-// JSON field names are the /statsz tier section's wire format.
+// JSON field names are the /statsz tier section's wire format, and the
+// metric tags name each field's /metricsz twin.
 type Stats struct {
 	// Scored counts every point the evaluator saw (all are surrogate-
 	// scored first). AnchorHits were served from the calibration anchor
 	// store, SurrogateServed from the surrogate in fast mode, and
 	// Escalated went to the simulators.
-	Scored          int64 `json:"scored"`
-	AnchorHits      int64 `json:"anchor_hits"`
-	SurrogateServed int64 `json:"surrogate_served"`
-	Escalated       int64 `json:"escalated"`
+	Scored          int64 `json:"scored" metric:"soproc_tier_scored_points_total" help:"points seen by the tiered evaluator (all surrogate-scored first)"`
+	AnchorHits      int64 `json:"anchor_hits" metric:"soproc_tier_anchor_hits_total" help:"points served from the calibration anchor store"`
+	SurrogateServed int64 `json:"surrogate_served" metric:"soproc_tier_surrogate_served_total" help:"points served from the analytic surrogate in fast mode"`
+	Escalated       int64 `json:"escalated" metric:"soproc_tier_escalated_points_total" help:"points escalated to the simulators"`
 	// EscalationRate is Escalated/Scored (0 when nothing was scored).
-	EscalationRate float64 `json:"escalation_rate"`
+	EscalationRate float64 `json:"escalation_rate" metric:"-" help:"derived ratio; compute from escalated/scored at query time"`
 	// Anchors and Regions describe the loaded calibration.
-	Anchors int `json:"anchors"`
-	Regions int `json:"regions"`
+	Anchors int `json:"anchors" metric:"soproc_tier_anchors" help:"calibration anchors loaded"`
+	Regions int `json:"regions" metric:"soproc_tier_regions" help:"certified calibration regions loaded"`
 }
 
 // Stats snapshots the evaluator's counters.
