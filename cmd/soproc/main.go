@@ -25,10 +25,6 @@
 //	                             tiered regeneration: anchors recorded by
 //	                             cmd/calibrate serve matching points without
 //	                             re-simulating; output stays byte-identical
-//	soproc -all -tier fast -calibration cal.json
-//	                             ... additionally serve certified interior
-//	                             points from the analytic surrogate
-//	                             (approximate, explicitly opted in)
 //	soproc -all -trace-level decisions -trace-out trace.jsonl
 //	                             stream one JSON line per engine decision
 //	                             (memo hit, store hit, remote, simulated,
@@ -86,7 +82,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "abort if regeneration exceeds this duration (0 = none)")
 	verbose := flag.Bool("v", false, "report engine statistics on stderr")
 	peers := flag.String("peers", "", "comma-separated soprocd replicas (host:port) to shard simulator points across")
-	tierName := flag.String("tier", "off", "tiered evaluation: off | exact (anchor-served, byte-identical) | fast (surrogate for certified interior points)")
+	tierName := flag.String("tier", "off", "tiered evaluation: off | exact (anchor-served, byte-identical)")
 	calPath := flag.String("calibration", "", "calibration.json from cmd/calibrate (with -tier)")
 	useStore := flag.Bool("store", false, "persist simulator results in -store-dir; a later run serves matching points from disk instead of re-simulating")
 	storeDir := flag.String("store-dir", store.DefaultDir, "persistent result store directory (with -store)")
@@ -155,8 +151,15 @@ func main() {
 	if *tierName != "off" {
 		mode, ok := tier.ParseMode(*tierName)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "soproc: unknown -tier %q (want off, exact, or fast)\n", *tierName)
+			fmt.Fprintf(os.Stderr, "soproc: unknown -tier %q (want off or exact)\n", *tierName)
 			flag.Usage()
+			os.Exit(2)
+		}
+		// The surrogate fills only the IPC, bandwidth and miss fields of
+		// a result, so a figure regenerated from it would print 0 in
+		// every other cell.
+		if mode == tier.Fast {
+			fmt.Fprintln(os.Stderr, "soproc: -tier fast is refused: the surrogate leaves most figure cells unfilled; figures need -tier exact")
 			os.Exit(2)
 		}
 		var cal *tier.Calibration
@@ -169,7 +172,7 @@ func main() {
 		ev = tier.New(cal, mode)
 		ctx = exp.WithTier(ctx, ev)
 	} else if *calPath != "" {
-		fmt.Fprintln(os.Stderr, "soproc: -calibration requires -tier exact or -tier fast")
+		fmt.Fprintln(os.Stderr, "soproc: -calibration requires -tier exact")
 		flag.Usage()
 		os.Exit(2)
 	}
