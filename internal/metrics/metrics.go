@@ -229,8 +229,9 @@ func escapeHelp(v string) string {
 
 // Text renders the families declared by snapshot's struct tags (nil
 // renders none) together with the registry's live histograms, in the
-// Prometheus text exposition format 0.0.4, sorted by family name. It fails if snapshot breaks the tag rules or
-// declares a family the registry already holds.
+// Prometheus text exposition format 0.0.4, sorted by family name. It
+// fails if snapshot breaks the tag rules or declares a family the
+// registry already holds.
 func (r *Registry) Text(snapshot any) (string, error) {
 	fams, err := walk(snapshot)
 	if err != nil {
